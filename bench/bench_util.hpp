@@ -5,7 +5,6 @@
 // rows/series of the corresponding paper table or figure.
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -17,6 +16,7 @@
 
 #include "apps/app.hpp"
 #include "apps/registry.hpp"
+#include "bench/cli.hpp"
 #include "common/error.hpp"
 #include "core/evaluate.hpp"
 #include "engine/engine.hpp"
@@ -94,18 +94,13 @@ inline std::string predictor_flag(int argc, char** argv, std::string fallback = 
 inline std::size_t size_flag(std::vector<std::string>& rest, const std::string& flag,
                              std::size_t fallback) {
   const auto parse = [&flag](const std::string& text) -> std::size_t {
-    // strtoull would happily wrap a leading '-' and saturate on overflow;
-    // reject both instead of handing the caller a surprise huge count.
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || text.front() == '-' || end == nullptr || *end != '\0' ||
-        errno == ERANGE) {
+    const auto value = parse_int<std::size_t>(text);
+    if (!value) {
       std::fprintf(stderr, "%s requires a non-negative integer, got '%s'\n", flag.c_str(),
                    text.c_str());
       std::exit(1);
     }
-    return static_cast<std::size_t>(value);
+    return *value;
   };
   std::size_t value = fallback;
   for (auto it = rest.begin(); it != rest.end();) {

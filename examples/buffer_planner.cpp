@@ -6,17 +6,27 @@
 //   $ ./examples/buffer_planner [procs]    (default 16, must be a square)
 
 #include <cstdio>
-#include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include "apps/app.hpp"
+#include "bench/cli.hpp"
 #include "mpi/world.hpp"
 #include "scale/buffer_manager.hpp"
 #include "trace/stats.hpp"
 #include "trace/stream.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr std::string_view kUsage =
+    "usage: buffer_planner [procs]    (default 16, must be a square)\n";
+
+int run(int argc, char** argv) {
   using namespace mpipred;
-  const int procs = argc > 1 ? std::atoi(argv[1]) : 16;
+  if (argc > 2) {
+    throw UsageError(std::string("unexpected argument '") + argv[2] + "'");
+  }
+  const int procs = argc > 1 ? bench::int_arg<int>(argv[1], "procs") : 16;
   if (!apps::bt_supports(procs)) {
     std::printf("BT needs a square process count (got %d)\n", procs);
     return 1;
@@ -47,4 +57,10 @@ int main(int argc, char** argv) {
                                  cmp.all_pairs.avg_memory_bytes()),
               procs);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

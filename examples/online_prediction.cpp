@@ -10,12 +10,19 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "apps/app.hpp"
+#include "bench/cli.hpp"
 #include "engine/engine.hpp"
 #include "mpi/world.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr std::string_view kUsage =
+    "usage: online_prediction [--predictor <name>] [--list-predictors]\n";
+
+int run(int argc, char** argv) {
   using namespace mpipred;
   const auto arg = engine::predictor_arg_or_exit(argc, argv);
   if (!arg.rest.empty()) {
@@ -72,4 +79,10 @@ int main(int argc, char** argv) {
               report.streams.size(), eng.shard_count(),
               static_cast<double>(report.total_footprint_bytes) / 1024.0);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

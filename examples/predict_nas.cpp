@@ -33,8 +33,8 @@
 //     (default: cg 8 --predictor dpd --shards 0 = one per hardware thread)
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -213,9 +213,15 @@ int replay_trace(const std::string& path, const engine::EngineConfig& cfg,
   return 0;
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "usage: predict_nas [app] [procs] [--predictor <name>] [--shards <n>]\n"
+    "                   [--export-trace <path>] [--trace <file>]\n"
+    "                   [--batch-events <n>] [--window <t0>:<t1>]\n"
+    "                   [--remap-ranks <spec>] [--emit-metrics <file>]\n"
+    "                   [--emit-trace-events <file>]\n"
+    "  app: bt, cg, lu, is or sweep3d (default cg); procs: default 8\n";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   auto predictor_arg = engine::predictor_arg_or_exit(argc, argv);
   const std::string& predictor = predictor_arg.name;
   const std::size_t shards = bench::shards_flag(predictor_arg.rest);
@@ -253,7 +259,7 @@ int main(int argc, char** argv) {
     app = predictor_arg.rest[0];
   }
   if (predictor_arg.rest.size() > 1) {
-    procs = std::atoi(predictor_arg.rest[1].c_str());
+    procs = bench::int_arg<int>(predictor_arg.rest[1], "procs");
   }
 
   const auto& info = apps::find_app(app);
@@ -336,4 +342,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::cli_main(argc, argv, kUsage, run);
 }

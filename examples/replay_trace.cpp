@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -70,9 +71,13 @@ double pct_at_one(const mpipred::core::AccuracyReport& report) {
   return report.max_horizon() == 0 ? 0.0 : 100.0 * report.at(1).accuracy();
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "usage: replay_trace --trace <file> [--predictor <name>] [--shards <n>]\n"
+    "                    [--batch-events <n>] [--window <t0>:<t1>]\n"
+    "                    [--remap-ranks <spec>] [--emit-metrics <file>]\n"
+    "                    [--emit-trace-events <file>]\n";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace mpipred;
   auto arg = engine::predictor_arg_or_exit(argc, argv);
   const std::size_t shards = bench::shards_flag(arg.rest);
@@ -83,12 +88,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (flags.path.empty()) {
-    std::fprintf(stderr,
-                 "usage: replay_trace --trace <file> [--predictor <name>] [--shards <n>]\n"
-                 "                    [--batch-events <n>] [--window <t0>:<t1>]\n"
-                 "                    [--remap-ranks <spec>] [--emit-metrics <file>]\n"
-                 "                    [--emit-trace-events <file>]\n");
-    return 1;
+    throw UsageError("replay_trace requires --trace <file>");
   }
 
   const auto source = bench::open_trace_or_exit(flags.path);
@@ -214,4 +214,10 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

@@ -6,17 +6,29 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "apps/app.hpp"
+#include "bench/cli.hpp"
 #include "core/periodogram.hpp"
 #include "mpi/world.hpp"
 #include "trace/csv.hpp"
 #include "trace/stats.hpp"
 #include "trace/stream.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr std::string_view kUsage = "usage: trace_export [path]    (default: ./is8_trace.csv)\n";
+
+int run(int argc, char** argv) {
   using namespace mpipred;
+  if (argc > 2) {
+    throw UsageError(std::string("unexpected argument '") + argv[2] + "'");
+  }
   const std::string path = argc > 1 ? argv[1] : "is8_trace.csv";
+  if (path.starts_with("-")) {
+    throw UsageError("unknown option '" + path + "'");
+  }
   constexpr int kProcs = 8;
 
   std::printf("running is.%d (Class S) and exporting traces to %s ...\n", kProcs, path.c_str());
@@ -46,4 +58,10 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(delete %s when done)\n", path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

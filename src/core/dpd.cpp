@@ -14,15 +14,15 @@ PeriodicityDetector::PeriodicityDetector(DpdConfig cfg) : cfg_(cfg) {
   MPIPRED_REQUIRE(cfg_.confirm_periods >= 1, "confirm_periods must be at least 1");
   MPIPRED_REQUIRE(cfg_.mismatch_penalty >= 1, "mismatch penalty must be at least 1");
   ring_.assign(cfg_.window, Value{0});
-  run_.assign(cfg_.max_period, 0);
-  score_.assign(cfg_.max_period, 0);
+  lags_.assign(cfg_.max_period, LagState{});
 }
 
 void PeriodicityDetector::reset() {
   std::fill(ring_.begin(), ring_.end(), Value{0});
-  std::fill(run_.begin(), run_.end(), std::size_t{0});
-  std::fill(score_.begin(), score_.end(), std::size_t{0});
+  std::fill(lags_.begin(), lags_.end(), LagState{});
   total_ = 0;
+  head_ = 0;
+  lag_.reset();
 }
 
 std::size_t PeriodicityDetector::buffered() const noexcept {
@@ -31,10 +31,7 @@ std::size_t PeriodicityDetector::buffered() const noexcept {
 
 PeriodicityDetector::Value PeriodicityDetector::value_at_lag(std::size_t lag) const {
   MPIPRED_REQUIRE(lag < buffered(), "lag exceeds buffered history");
-  const std::size_t pos =
-      static_cast<std::size_t>((total_ - 1 - static_cast<std::int64_t>(lag)) %
-                               static_cast<std::int64_t>(cfg_.window));
-  return ring_[pos];
+  return lag < head_ ? ring_[head_ - 1 - lag] : ring_[head_ + cfg_.window - 1 - lag];
 }
 
 void PeriodicityDetector::observe(Value v) {
@@ -42,26 +39,42 @@ void PeriodicityDetector::observe(Value v) {
   // history: the comparison is x[t] vs x[t-m]. A match earns one point
   // (capped), a mismatch costs `mismatch_penalty` — hysteresis that rides
   // through isolated glitches but drains quickly on real pattern changes.
-  const auto have = static_cast<std::size_t>(std::min<std::int64_t>(
-      total_, static_cast<std::int64_t>(cfg_.window)));
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    auto& run = run_[m - 1];
-    auto& score = score_[m - 1];
-    if (m > have) {
-      run = 0;  // x[t-m] not available yet
-      score = 0;
-      continue;
-    }
-    if (value_at_lag(m - 1) == v) {  // lag m-1 of the *old* buffer == x[t-m] of the new sample
-      ++run;
-      score = std::min(score + 1, 2 * threshold(m));
+  // Lags beyond the buffered history have no x[t-m] yet; their state is
+  // still zero from construction or reset() (buffered() only grows until
+  // then), so the loop stops at them.
+  const std::size_t limit = std::min(buffered(), cfg_.max_period);
+  std::size_t best_run = 0;    // longest run that passes its lag's threshold
+  std::size_t best_score = 0;  // highest score that passes its lag's threshold
+  const auto update = [&](std::size_t m, Value past) {
+    LagState& lag = lags_[m - 1];
+    const std::size_t need = threshold(m);
+    if (past == v) {
+      ++lag.run;
+      lag.score = std::min(lag.score + 1, 2 * need);
     } else {
-      run = 0;
-      score -= std::min(score, cfg_.mismatch_penalty);
+      lag.run = 0;
+      lag.score -= std::min(lag.score, cfg_.mismatch_penalty);
     }
+    if (lag.run >= need) {
+      best_run = std::max(best_run, lag.run);
+    }
+    if (lag.score >= need) {
+      best_score = std::max(best_score, lag.score);
+    }
+  };
+  // x[t-m] lies in two contiguous segments of the ring: just below head_
+  // for m <= head_, and wrapped to the top of the ring beyond that.
+  const std::size_t near = std::min(limit, head_);
+  for (std::size_t m = 1; m <= near; ++m) {
+    update(m, ring_[head_ - m]);
   }
-  ring_[static_cast<std::size_t>(total_ % static_cast<std::int64_t>(cfg_.window))] = v;
+  for (std::size_t m = near + 1; m <= limit; ++m) {
+    update(m, ring_[head_ + cfg_.window - m]);
+  }
+  ring_[head_] = v;
+  head_ = head_ + 1 == cfg_.window ? 0 : head_ + 1;
   ++total_;
+  lag_ = select_lag(best_run, best_score);
 }
 
 std::size_t PeriodicityDetector::threshold(std::size_t m) const noexcept {
@@ -70,7 +83,7 @@ std::size_t PeriodicityDetector::threshold(std::size_t m) const noexcept {
 
 std::optional<std::size_t> PeriodicityDetector::period() const {
   for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    if (run_[m - 1] < threshold(m)) {
+    if (lags_[m - 1].run < threshold(m)) {
       continue;
     }
     // Exact verification over a recent window of ~3 periods (at least the
@@ -92,21 +105,17 @@ std::optional<std::size_t> PeriodicityDetector::period() const {
   return std::nullopt;
 }
 
-std::optional<std::size_t> PeriodicityDetector::prediction_lag() const {
+std::optional<std::size_t> PeriodicityDetector::select_lag(std::size_t best_run,
+                                                           std::size_t best_score) const noexcept {
   // First choice: strict evidence. Among lags whose *consecutive* match
   // run passes the threshold, take the smallest one within half of the
   // longest run — on clean streams this is the fundamental period (or a
   // harmless multiple), and the evidence weighting discards lags that only
   // hold locally.
-  std::size_t best_run = 0;
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    if (run_[m - 1] >= threshold(m)) {
-      best_run = std::max(best_run, run_[m - 1]);
-    }
-  }
   if (best_run > 0) {
     for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-      if (run_[m - 1] >= threshold(m) && 2 * run_[m - 1] >= best_run) {
+      const LagState& lag = lags_[m - 1];
+      if (lag.run >= threshold(m) && 2 * lag.run >= best_run) {
         return m;
       }
     }
@@ -115,21 +124,15 @@ std::optional<std::size_t> PeriodicityDetector::prediction_lag() const {
   // strict runs are broken; the capped scores remember which lags held
   // until a moment ago, so prediction continues instead of going silent
   // for a whole relearning interval.
-  std::size_t best_score = 0;
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    if (score_[m - 1] >= threshold(m)) {
-      best_score = std::max(best_score, score_[m - 1]);
+  if (best_score > 0) {
+    for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
+      const LagState& lag = lags_[m - 1];
+      if (lag.score >= threshold(m) && 2 * lag.score >= best_score) {
+        return m;
+      }
     }
   }
-  if (best_score == 0) {
-    return std::nullopt;
-  }
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    if (score_[m - 1] >= threshold(m) && 2 * score_[m - 1] >= best_score) {
-      return m;
-    }
-  }
-  return std::nullopt;  // unreachable: the best-scoring lag qualifies
+  return std::nullopt;
 }
 
 int PeriodicityDetector::distance(std::size_t m) const {

@@ -51,6 +51,10 @@ struct DpdConfig {
 /// O(N + M) space — small enough to run inside an MPI library (the §4.2
 /// overhead requirement; see bench_predictor_overhead).
 ///
+/// Cost model: observe() is O(M) and also selects the prediction lag, so
+/// prediction_lag() — and with it StreamPredictor::predict(h) — is O(1).
+/// period() and distance() stay O(M + window); they serve reports.
+///
 /// Values are opaque integers: sender ranks or message sizes here, but any
 /// symbol stream works.
 class PeriodicityDetector {
@@ -59,7 +63,8 @@ class PeriodicityDetector {
 
   explicit PeriodicityDetector(DpdConfig cfg = {});
 
-  /// Feeds the next sample of the stream.
+  /// Feeds the next sample of the stream: updates every lag's evidence
+  /// and selects the prediction lag in one O(M) call.
   void observe(Value v);
 
   /// The smallest confirmed period, if any — the *fundamental* period in
@@ -77,8 +82,8 @@ class PeriodicityDetector {
   /// that only hold locally — a constant stretch inside a longer pattern
   /// (which would fake a tiny period) or a lag that happens to align
   /// across a recent phase shift (which would fake a huge one) — both of
-  /// which mispredict the rest of the pattern.
-  [[nodiscard]] std::optional<std::size_t> prediction_lag() const;
+  /// which mispredict the rest of the pattern. O(1): selected by observe().
+  [[nodiscard]] std::optional<std::size_t> prediction_lag() const noexcept { return lag_; }
 
   /// The paper's d(m) evaluated over the *current* window contents:
   /// 1 if any comparison mismatches, 0 if the window is m-periodic.
@@ -88,8 +93,8 @@ class PeriodicityDetector {
   /// Total samples observed so far.
   [[nodiscard]] std::int64_t samples() const noexcept { return total_; }
 
-  /// The sample observed `lag` steps ago (lag 0 = most recent). lag must
-  /// be < min(samples(), window).
+  /// The sample observed `lag` steps ago (lag 0 = most recent), in O(1).
+  /// lag must be < min(samples(), window).
   [[nodiscard]] Value value_at_lag(std::size_t lag) const;
 
   /// Number of buffered samples: min(samples(), window).
@@ -101,13 +106,22 @@ class PeriodicityDetector {
   void reset();
 
  private:
+  /// Evidence for one candidate lag m.
+  struct LagState {
+    std::size_t run = 0;    // strict consecutive matches at lag m
+    std::size_t score = 0;  // hysteretic match score at lag m
+  };
+
   [[nodiscard]] std::size_t threshold(std::size_t m) const noexcept;
+  [[nodiscard]] std::optional<std::size_t> select_lag(std::size_t best_run,
+                                                      std::size_t best_score) const noexcept;
 
   DpdConfig cfg_;
-  std::vector<Value> ring_;         // circular buffer of the last `window` samples
-  std::vector<std::size_t> run_;    // run_[m-1]: strict consecutive matches at lag m
-  std::vector<std::size_t> score_;  // score_[m-1]: hysteretic match score at lag m
+  std::vector<Value> ring_;     // circular buffer of the last `window` samples
+  std::vector<LagState> lags_;  // lags_[m-1]: evidence for lag m
   std::int64_t total_ = 0;
+  std::size_t head_ = 0;            // ring_ slot of the next sample (total_ mod window)
+  std::optional<std::size_t> lag_;  // prediction_lag(), selected at the end of observe()
 };
 
 }  // namespace mpipred::core

@@ -14,10 +14,11 @@ void StreamPredictor::observe(Value v) { detector_.observe(v); }
 
 std::optional<Predictor::Value> StreamPredictor::predict(std::size_t h) const {
   MPIPRED_REQUIRE(h >= 1 && h <= cfg_.horizon, "horizon out of range");
-  // Read history through the *largest* confirmed lag: on clean periodic
-  // streams it is a multiple of the fundamental period (identical
-  // predictions), and it bridges spots where a small lag only held
-  // locally — see PeriodicityDetector::prediction_lag().
+  // Read history through the detector's prediction lag, selected once per
+  // observe(): on clean periodic streams it is the fundamental period (or
+  // a multiple of it — identical predictions), and it bridges spots where
+  // a small lag only held locally — see
+  // PeriodicityDetector::prediction_lag(). O(1) per call.
   const auto period = detector_.prediction_lag();
   if (!period) {
     if (cfg_.last_value_fallback && detector_.samples() > 0) {
@@ -50,7 +51,8 @@ std::unique_ptr<Predictor> StreamPredictor::clone_fresh() const {
 }
 
 std::size_t StreamPredictor::footprint_bytes() const {
-  // Detector state: the sample ring plus per-lag run and score counters.
+  // Detector state: the sample ring plus per-lag run and score counters
+  // (sizeof(*this) covers the detector's cached head and lag).
   return sizeof(*this) + cfg_.dpd.window * sizeof(Value) +
          2 * cfg_.dpd.max_period * sizeof(std::size_t);
 }

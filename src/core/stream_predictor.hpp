@@ -23,6 +23,11 @@ struct StreamPredictorConfig {
 /// DPD, then read future values out of the previous period. Because the
 /// period is known, *several* future values come for free — the property
 /// that distinguishes this scheme from next-value heuristics.
+///
+/// Cost: observe() is O(M) (M = max_period) and selects the lag that
+/// prediction reads through; predict(h) is O(1) for every h. period() and
+/// describe() run the detector's exact O(M + window) check — for reports,
+/// not the per-message path.
 class StreamPredictor final : public Predictor {
  public:
   explicit StreamPredictor(StreamPredictorConfig cfg = {});

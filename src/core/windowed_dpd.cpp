@@ -21,6 +21,8 @@ void WindowedDpdPredictor::reset() {
   std::fill(ring_.begin(), ring_.end(), Value{0});
   std::fill(last_bad_.begin(), last_bad_.end(), std::int64_t{-1});
   total_ = 0;
+  head_ = 0;
+  period_.reset();
 }
 
 std::size_t WindowedDpdPredictor::buffered() const noexcept {
@@ -29,25 +31,32 @@ std::size_t WindowedDpdPredictor::buffered() const noexcept {
 
 Predictor::Value WindowedDpdPredictor::value_at_lag(std::size_t lag) const {
   MPIPRED_REQUIRE(lag < buffered(), "lag exceeds buffered history");
-  return ring_[static_cast<std::size_t>((total_ - 1 - static_cast<std::int64_t>(lag)) %
-                                        static_cast<std::int64_t>(cfg_.window))];
+  return lag < head_ ? ring_[head_ - 1 - lag] : ring_[head_ + cfg_.window - 1 - lag];
 }
 
 void WindowedDpdPredictor::observe(Value v) {
-  const std::size_t have = buffered();
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    if (m > have) {
-      continue;  // x[t-m] does not exist yet: no comparison at this lag
-    }
-    if (value_at_lag(m - 1) != v) {
+  // No comparison at lags m > buffered(): x[t-m] does not exist yet.
+  const std::size_t limit = std::min(buffered(), cfg_.max_period);
+  // x[t-m] lies just below head_ for m <= head_, and wraps to the top of
+  // the ring beyond that.
+  const std::size_t near = std::min(limit, head_);
+  for (std::size_t m = 1; m <= near; ++m) {
+    if (ring_[head_ - m] != v) {
       last_bad_[m - 1] = total_;
     }
   }
-  ring_[static_cast<std::size_t>(total_ % static_cast<std::int64_t>(cfg_.window))] = v;
+  for (std::size_t m = near + 1; m <= limit; ++m) {
+    if (ring_[head_ + cfg_.window - m] != v) {
+      last_bad_[m - 1] = total_;
+    }
+  }
+  ring_[head_] = v;
+  head_ = head_ + 1 == cfg_.window ? 0 : head_ + 1;
   ++total_;
+  period_ = detect_period();
 }
 
-std::optional<std::size_t> WindowedDpdPredictor::period() const {
+std::optional<std::size_t> WindowedDpdPredictor::detect_period() const {
   const auto window_start = total_ - static_cast<std::int64_t>(buffered());
   for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
     // d(m) == 0 over the window: the latest mismatch predates the window.
@@ -69,11 +78,10 @@ std::optional<std::size_t> WindowedDpdPredictor::period() const {
 
 std::optional<Predictor::Value> WindowedDpdPredictor::predict(std::size_t h) const {
   MPIPRED_REQUIRE(h >= 1 && h <= horizon_, "horizon out of range");
-  const auto period = this->period();
-  if (!period) {
+  if (!period_) {
     return std::nullopt;
   }
-  const std::size_t m = *period;
+  const std::size_t m = *period_;
   const std::size_t k = (h + m - 1) / m;
   const std::size_t lag = k * m - h;
   if (lag >= buffered()) {

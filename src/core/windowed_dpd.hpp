@@ -23,7 +23,8 @@ namespace mpipred::core {
 /// Window semantics make the incremental trick of the production detector
 /// unavailable; observe() costs O(M) amortized via mismatch bookkeeping
 /// (per lag, the position of the most recent mismatch: d(m)==0 over the
-/// window iff that position has scrolled out).
+/// window iff that position has scrolled out). observe() also evaluates
+/// the criterion, so period() and predict(h) are O(1).
 class WindowedDpdPredictor final : public Predictor {
  public:
   explicit WindowedDpdPredictor(DpdConfig cfg = {}, std::size_t horizon = 5);
@@ -37,8 +38,9 @@ class WindowedDpdPredictor final : public Predictor {
   [[nodiscard]] std::size_t footprint_bytes() const override;
 
   /// Smallest m with d(m) == 0 over the full window (needs at least
-  /// min_confirm_samples comparisons at lag m).
-  [[nodiscard]] std::optional<std::size_t> period() const;
+  /// min_confirm_samples comparisons at lag m). O(1): evaluated by
+  /// observe().
+  [[nodiscard]] std::optional<std::size_t> period() const noexcept { return period_; }
 
   [[nodiscard]] std::int64_t samples() const noexcept { return total_; }
 
@@ -59,6 +61,7 @@ class WindowedDpdPredictor final : public Predictor {
  private:
   [[nodiscard]] std::size_t buffered() const noexcept;
   [[nodiscard]] Value value_at_lag(std::size_t lag) const;
+  [[nodiscard]] std::optional<std::size_t> detect_period() const;
 
   DpdConfig cfg_;
   std::size_t horizon_;
@@ -67,6 +70,8 @@ class WindowedDpdPredictor final : public Predictor {
   // (-1 if never). d(m)==0 over the window iff last_bad_ scrolled out.
   std::vector<std::int64_t> last_bad_;
   std::int64_t total_ = 0;
+  std::size_t head_ = 0;               // ring slot of the next sample (total_ mod window)
+  std::optional<std::size_t> period_;  // period(), evaluated at the end of observe()
 };
 
 }  // namespace mpipred::core
