@@ -11,6 +11,7 @@
 #include "apps/app.hpp"
 #include "bench/cli.hpp"
 #include "core/periodogram.hpp"
+#include "ingest/source.hpp"
 #include "mpi/world.hpp"
 #include "trace/csv.hpp"
 #include "trace/stats.hpp"
@@ -39,7 +40,8 @@ int run(int argc, char** argv) {
   }
 
   // A different process (or a later analysis session) reloads the CSV.
-  const trace::TraceStore store = trace::read_csv_file(path, kProcs);
+  const auto source = ingest::open_trace(path);
+  const trace::TraceStore& store = *source->store();
   std::printf("reloaded %zu logical + %zu physical records\n\n",
               store.total_records(trace::Level::Logical),
               store.total_records(trace::Level::Physical));

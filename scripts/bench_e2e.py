@@ -2,9 +2,12 @@
 """Host wall-clock cost of the mpipred tools, before vs after a change.
 
 Times whole-process runs of the CLI tools from two Release build trees —
-`predict_nas {bt,cg,lu,is,sweep3d} 16` and `bench_adaptive_speedup --apps
-lu --seeds 1` — in before/after pairs whose order alternates, so drift on
-the machine hits both sides alike. Each side's standard output (and the
+`predict_nas {bt,cg,lu,is,sweep3d} 16`, `bench_adaptive_speedup --apps lu
+--seeds 1`, and `replay_trace` over an lu.16 CSV capture with a one-second
+`--window` and `--remap-ranks mod:8` — in before/after pairs whose order
+alternates, so drift on the machine hits both sides alike. Each side
+exports its own capture once (`predict_nas lu 16 --export-trace`, untimed)
+into a scratch directory, and its replays run there. Each side's standard output (and the
 speedup bench's JSON) must be byte-identical, or the script exits 1: the
 numbers compare the same work. Where Google Benchmark is installed it also
 records the `observe_and_predict/dpd` micro benchmark from
@@ -21,6 +24,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import os
 import platform
@@ -30,9 +34,15 @@ import tempfile
 import time
 from pathlib import Path
 
+CAPTURE = "lu16.csv"
+EXPORT = ["predict_nas", "lu", "16", "--export-trace", CAPTURE]
 TOOLS = [
     *(["predict_nas", app, "16"] for app in ("bt", "cg", "lu", "is", "sweep3d")),
     ["bench_adaptive_speedup", "--apps", "lu", "--seeds", "1", "--out", "speedup.json"],
+    # The capture spans about 18.2 simulated seconds; the window is its
+    # second-to-last second, so the reader parses nearly every row.
+    ["replay_trace", "--trace", CAPTURE, "--window", "17000000000:18000000000",
+     "--remap-ranks", "mod:8"],
 ]
 MICRO = "observe_and_predict/dpd"
 RUNS = 5         # whole-process runs per side and tool
@@ -57,9 +67,11 @@ def summary(values: list[float], digits: int) -> dict:
     }
 
 
-def timed_run(build: Path, argv: list[str]) -> tuple[float, bytes]:
-    """Runs one tool in a scratch directory; returns (seconds, output)."""
-    with tempfile.TemporaryDirectory() as cwd:
+def timed_run(build: Path, argv: list[str], capture_dir: Path) -> tuple[float, bytes]:
+    """Runs one tool in a scratch directory (the side's capture directory
+    when it reads the capture); returns (seconds, output)."""
+    with tempfile.TemporaryDirectory() as fresh:
+        cwd = capture_dir if CAPTURE in argv else fresh
         start = time.perf_counter()
         done = subprocess.run([str(build / argv[0]), *argv[1:]], cwd=cwd,
                               capture_output=True, check=False)
@@ -116,6 +128,16 @@ def main() -> int:
         if build_type(build) != "Release":
             sys.exit(f"--{side} {build} is not a Release build")
 
+    scratch = tempfile.TemporaryDirectory()
+    captures = {}
+    for side, build in sides.items():
+        captures[side] = Path(scratch.name) / side
+        captures[side].mkdir()
+        subprocess.run([str(build / EXPORT[0]), *EXPORT[1:]], cwd=captures[side],
+                       capture_output=True, check=True)
+    if not filecmp.cmp(captures["before"] / CAPTURE, captures["after"] / CAPTURE, shallow=False):
+        sys.exit(f"{' '.join(EXPORT)}: the two sides exported different captures")
+
     tools = {}
     for argv in TOOLS:
         name = " ".join(a for a in argv if a not in ("--out", "speedup.json"))
@@ -124,7 +146,7 @@ def main() -> int:
         for rep in range(RUNS):
             order = ["before", "after"] if rep % 2 == 0 else ["after", "before"]
             for side in order:
-                s, out = timed_run(sides[side], argv)
+                s, out = timed_run(sides[side], argv, captures[side])
                 seconds[side].append(s)
                 if outputs.setdefault(side, out) != out:
                     sys.exit(f"{name}: {side} output differs between repetitions")
@@ -163,12 +185,14 @@ def main() -> int:
             "build_type": "Release",
         },
         "method": f"whole-process wall clock, before/after pairs in alternating order, "
-                  f"{RUNS} runs per side; median/p10/p90 by linear interpolation; "
+                  f"{RUNS} runs per side; replay_trace reads a capture each side exported "
+                  f"once with '{' '.join(EXPORT)}'; median/p10/p90 by linear interpolation; "
                   f"outputs byte-identical across sides; micro: google-benchmark real_time, "
                   f"{MICRO_RUNS} repetitions per side",
         "tools_s": tools,
         "micro_ns": micro,
     }
+    scratch.cleanup()
     opts.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {opts.out}")
     return 0

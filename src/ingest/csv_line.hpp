@@ -1,25 +1,31 @@
 #pragma once
 
-// Line-level grammar of the two ingest CSV dialects, shared by the
-// materializing parser (csv_source.cpp) and the incremental streaming
-// reader (streaming.cpp), so the two paths can never drift on what a valid
-// preamble directive, header, or data line is. Internal to src/ingest/;
-// consumers outside the ingest boundary go through TraceSource or
-// EventStream instead.
+// Line-level reading and grammar of the two ingest CSV dialects, shared
+// by the materializing parser (csv_source.cpp) and the incremental
+// streaming reader (streaming.cpp), so the two paths can never drift on
+// how a file splits into lines or on what a valid preamble directive,
+// header, or data line is. Internal to src/ingest/; consumers outside the
+// ingest boundary go through TraceSource or EventStream instead.
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdint>
+#include <cstring>
+#include <istream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "ingest/source.hpp"
-#include "trace/csv_util.hpp"
+#include "trace/csv.hpp"
 #include "trace/event.hpp"
 
 namespace mpipred::ingest::csv_line {
 
-inline constexpr std::string_view kNativeHeader = trace::csv_util::kNativeHeader;
+inline constexpr std::string_view kNativeHeader = trace::kCsvHeader;
 inline constexpr std::string_view kFlatHeader = "time_ns,sender,receiver,bytes";
 inline constexpr std::string_view kFlatHeaderKind = "time_ns,sender,receiver,bytes,kind";
 
@@ -33,6 +39,144 @@ inline constexpr std::string_view kSupportedVersion = "v1";
 inline constexpr std::int32_t kMaxRanks = 1 << 22;
 
 enum class Dialect { Native, Flat };
+
+/// Where LineReader blocks come from: one stream that several readers may
+/// share. Offsets count bytes from where the stream stood when wrapped; a
+/// read seeks only when its offset differs from where the previous read
+/// ended, so a lone sequential reader never seeks (and also works on
+/// streams that cannot).
+class BlockSource {
+ public:
+  explicit BlockSource(std::istream& is) : is_(&is) {}
+
+  /// Reads up to `n` bytes at `offset` into `dst`; returns the count read,
+  /// 0 at end of stream.
+  [[nodiscard]] std::size_t read(std::uint64_t offset, char* dst, std::size_t n) {
+    if (offset != pos_) {
+      is_->clear();
+      is_->seekg(static_cast<std::streamoff>(offset));
+      pos_ = offset;
+    }
+    is_->read(dst, static_cast<std::streamsize>(n));
+    const auto got = static_cast<std::size_t>(is_->gcount());
+    pos_ += got;
+    return got;
+  }
+
+ private:
+  std::istream* is_;
+  std::uint64_t pos_ = 0;
+};
+
+/// One line as LineReader yields it: the text with the terminator and any
+/// trailing '\r' removed (files written on Windows end lines in "\r\n"),
+/// the byte offset of its first byte, and its 1-based line number.
+struct Line {
+  std::string_view text;
+  std::uint64_t offset = 0;
+  std::size_t number = 0;
+};
+
+/// Block-buffered line splitter over a byte range of a BlockSource. It
+/// reads `block_bytes` at a time (fewer when the range is shorter) and
+/// yields lines as views into its buffer, valid until the next call. A
+/// line that straddles two blocks is moved to the buffer front and
+/// completed; a line longer than the buffer doubles it for as long as the
+/// line is held, after which the buffer shrinks back to one block. A
+/// final line without a terminating newline is still a line; an empty
+/// range has none.
+class LineReader {
+ public:
+  /// Lines of `source` from byte `start` up to byte `limit` (a line
+  /// boundary, or past the end of the stream); `lines_before` is the line
+  /// number preceding `start`.
+  LineReader(BlockSource& source, std::size_t block_bytes, std::uint64_t start = 0,
+             std::size_t lines_before = 0,
+             std::uint64_t limit = std::numeric_limits<std::uint64_t>::max())
+      : source_(&source),
+        block_(static_cast<std::size_t>(
+            std::clamp<std::uint64_t>(limit - start, 1, block_bytes))),
+        buf_offset_(start),
+        limit_(limit),
+        line_(lines_before) {}
+
+  /// Fills `out` with the next line; false once the range is exhausted.
+  [[nodiscard]] bool next(Line& out) {
+    while (true) {
+      const void* nl =
+          scan_ < end_ ? std::memchr(buf_.data() + scan_, '\n', end_ - scan_) : nullptr;
+      if (nl != nullptr) {
+        const auto stop = static_cast<std::size_t>(static_cast<const char*>(nl) - buf_.data());
+        emit(stop, out);
+        begin_ = scan_ = stop + 1;
+        return true;
+      }
+      scan_ = end_;
+      if (!fill()) {
+        if (begin_ == end_) {
+          return false;
+        }
+        emit(end_, out);
+        begin_ = scan_ = end_;
+        return true;
+      }
+    }
+  }
+
+  /// Byte offset just past the last line yielded (the range end once
+  /// next() has returned false).
+  [[nodiscard]] std::uint64_t position() const noexcept { return buf_offset_ + begin_; }
+
+  /// Buffer bytes currently allocated.
+  [[nodiscard]] std::size_t buffer_bytes() const noexcept { return buf_.capacity(); }
+
+ private:
+  void emit(std::size_t stop, Line& out) {
+    std::string_view text(buf_.data() + begin_, stop - begin_);
+    if (!text.empty() && text.back() == '\r') {
+      text.remove_suffix(1);
+    }
+    out = {.text = text, .offset = buf_offset_ + begin_, .number = ++line_};
+  }
+
+  /// Appends the next block after the unconsumed tail; false at the end.
+  bool fill() {
+    const std::uint64_t next_read = buf_offset_ + end_;
+    if (next_read >= limit_) {
+      return false;
+    }
+    const std::size_t tail = end_ - begin_;
+    if (buf_.size() > block_ && tail < block_) {
+      std::vector<char> smaller(block_);  // the long line is gone: back to one block
+      std::memcpy(smaller.data(), buf_.data() + begin_, tail);
+      buf_.swap(smaller);
+    } else if (begin_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + begin_, tail);
+    }
+    buf_offset_ += begin_;
+    scan_ -= begin_;
+    begin_ = 0;
+    end_ = tail;
+    if (end_ == buf_.size()) {
+      buf_.resize(buf_.empty() ? block_ : 2 * buf_.size());
+    }
+    const auto room = static_cast<std::size_t>(
+        std::min<std::uint64_t>(buf_.size() - end_, limit_ - next_read));
+    const std::size_t got = source_->read(next_read, buf_.data() + end_, room);
+    end_ += got;
+    return got != 0;
+  }
+
+  BlockSource* source_;
+  std::size_t block_;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;  // first unconsumed byte
+  std::size_t scan_ = 0;   // bytes before this hold no newline
+  std::size_t end_ = 0;    // one past the last buffered byte
+  std::uint64_t buf_offset_;
+  std::uint64_t limit_;
+  std::size_t line_;
+};
 
 [[nodiscard]] inline std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
@@ -158,6 +302,29 @@ struct HeaderInfo {
   return header.dialect == Dialect::Native ? 7 : (header.flat_has_kind ? 5 : 4);
 }
 
+/// The widest row either dialect has (native).
+inline constexpr std::size_t kMaxFields = 7;
+using Fields = std::array<std::string_view, kMaxFields>;
+
+/// Splits on ',' without collapsing empty fields ("a,,b" -> {"a","","b"})
+/// and without allocating: the first kMaxFields land in `fields`, and the
+/// return value counts them all, so an over-wide row is still measured.
+[[nodiscard]] inline std::size_t split(std::string_view line, Fields& fields) {
+  std::size_t count = 0;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = line.find(',', start);
+    if (count < kMaxFields) {
+      fields[count] = line.substr(start, comma == std::string_view::npos ? comma : comma - start);
+    }
+    ++count;
+    if (comma == std::string_view::npos) {
+      return count;
+    }
+    start = comma + 1;
+  }
+}
+
 /// One fully validated data line, in either dialect's terms: the receiving
 /// rank, the instrumentation level, and the record itself.
 struct Row {
@@ -171,12 +338,13 @@ struct Row {
 /// malformed content.
 [[nodiscard]] inline Row parse_row(std::string_view line, const HeaderInfo& header,
                                    const std::optional<int>& declared_nranks, const Cursor& at) {
-  const auto fields = trace::csv_util::split(line);
-  if (fields.size() != expected_fields(header)) {
-    at.reject("", "has " + std::to_string(fields.size()) + " fields, expected " +
+  Row row;
+  Fields fields;
+  const std::size_t count = split(line, fields);
+  if (count != expected_fields(header)) {
+    at.reject("", "has " + std::to_string(count) + " fields, expected " +
                       std::to_string(expected_fields(header)));
   }
-  Row row;
   if (header.dialect == Dialect::Native) {
     row.rank = parse_rank(fields[0], "rank", 0, declared_nranks, at);
     row.level = static_cast<trace::Level>(

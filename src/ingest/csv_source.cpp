@@ -9,36 +9,30 @@
 #include "engine/engine.hpp"
 #include "ingest/csv_line.hpp"
 #include "ingest/streaming.hpp"
-#include "trace/csv_util.hpp"
 
 namespace mpipred::ingest {
-
-namespace {
-
-using trace::csv_util::strip_cr;
-
-}  // namespace
 
 std::unique_ptr<CsvTraceSource> CsvTraceSource::parse(std::istream& is, const std::string& file) {
   csv_line::Cursor at{.file = file};
   std::optional<int> declared_nranks;
   std::optional<csv_line::HeaderInfo> header;
+  csv_line::BlockSource source(is);
+  csv_line::LineReader lines(source, CsvStreamReader::kBlockBytes);
+  csv_line::Line line;
 
   // Preamble: directives and comments up to the header line.
-  std::string raw;
-  while (std::getline(is, raw)) {
-    ++at.line;
-    const std::string_view line = strip_cr(raw);
-    if (line.empty()) {
+  while (lines.next(line)) {
+    at.line = line.number;
+    if (line.text.empty()) {
       continue;
     }
-    if (line.front() == '#') {
-      csv_line::handle_directive(csv_line::trim(line.substr(1)), declared_nranks, at);
+    if (line.text.front() == '#') {
+      csv_line::handle_directive(csv_line::trim(line.text.substr(1)), declared_nranks, at);
       continue;
     }
-    header = csv_line::match_header(line);
+    header = csv_line::match_header(line.text);
     if (!header) {
-      csv_line::reject_header(line, at);
+      csv_line::reject_header(line.text, at);
     }
     break;
   }
@@ -50,16 +44,12 @@ std::unique_ptr<CsvTraceSource> CsvTraceSource::parse(std::istream& is, const st
   // so the rank count can be inferred when the file does not declare it.
   std::vector<csv_line::Row> rows;
   std::int32_t max_rank = -1;
-  while (std::getline(is, raw)) {
-    ++at.line;
-    const std::string_view line = strip_cr(raw);
-    if (line.empty()) {
-      continue;
+  while (lines.next(line)) {
+    at.line = line.number;
+    if (line.text.empty() || line.text.front() == '#') {
+      continue;  // blanks and comments between data lines
     }
-    if (line.front() == '#') {
-      continue;  // comments between data lines
-    }
-    const csv_line::Row row = csv_line::parse_row(line, *header, declared_nranks, at);
+    const csv_line::Row row = csv_line::parse_row(line.text, *header, declared_nranks, at);
     max_rank = std::max({max_rank, static_cast<std::int32_t>(row.rank), row.rec.sender});
     rows.push_back(row);
   }

@@ -12,13 +12,10 @@
 #include "ingest/csv_line.hpp"
 #include "ingest/csv_source.hpp"
 #include "ingest/source.hpp"
-#include "trace/csv_util.hpp"
 
 namespace mpipred::ingest {
 
 namespace {
-
-using trace::csv_util::strip_cr;
 
 [[nodiscard]] TimedEvent to_timed(const csv_line::Row& row) {
   return {.time = row.rec.time,
@@ -69,12 +66,13 @@ struct CsvStreamReader::Impl {
     int rank = 0;
     std::uint64_t start = 0;
     std::uint64_t end = 0;
-    std::size_t start_line = 0;
+    std::size_t lines_before = 0;
   };
 
+  // A section's own block buffer over the shared file handle, plus its one
+  // parsed lookahead.
   struct SectionCursor {
-    std::uint64_t next_offset = 0;
-    std::size_t line = 0;  // last line number handed to getline
+    csv_line::LineReader lines;
     TimedEvent lookahead{};
   };
 
@@ -93,24 +91,22 @@ struct CsvStreamReader::Impl {
   };
 
   std::string path;
-  trace::Level level = trace::Level::Physical;
   csv_line::HeaderInfo header{};
   std::optional<int> declared_nranks;
   int nranks = 1;
   Mode mode = Mode::Empty;
 
+  // The one file handle every reader below pulls its blocks through.
   std::ifstream is;
-  std::uint64_t pos = 0;  // byte offset the stream is positioned at
-  std::string raw;
+  csv_line::BlockSource source{is};
 
-  // NativeMerge: one cursor + one parsed lookahead per requested-level section.
-  std::vector<Section> sections;
+  // NativeMerge: one cursor per requested-level section, merged through a
+  // min-heap of their lookaheads.
   std::vector<SectionCursor> cursors;
   std::priority_queue<HeapItem, std::vector<HeapItem>, HeapGreater> heap;
 
   // FlatSequential: a single forward pass plus one timestamp-tie group.
-  std::uint64_t data_start = 0;
-  std::size_t data_start_line = 0;
+  std::optional<csv_line::LineReader> flat_lines;
   bool file_done = false;
   std::int64_t tie_time = 0;
   std::vector<TimedEvent> tie_group;
@@ -121,51 +117,47 @@ struct CsvStreamReader::Impl {
   std::size_t next = 0;
 
   std::size_t buffered_peak = 0;
+  std::size_t buffer_bytes = 0;  // line-buffer bytes the readers hold now
+  std::size_t buffer_bytes_peak = 0;
 
   void note_buffered(std::size_t resident) { buffered_peak = std::max(buffered_peak, resident); }
 
-  /// Positions the underlying stream at `offset` (clearing any EOF state)
-  /// and reads the next raw line; returns false at end of stream. Advances
-  /// `offset` past the consumed bytes.
-  bool read_line_at(std::uint64_t& offset) {
-    is.clear();
-    if (pos != offset) {
-      is.seekg(static_cast<std::streamoff>(offset));
-      pos = offset;
-    }
-    if (!std::getline(is, raw)) {
-      return false;
-    }
-    const std::uint64_t consumed = raw.size() + (is.eof() ? 0 : 1);
-    offset += consumed;
-    pos += consumed;
-    return true;
+  /// Books a reader's buffer growing or shrinking from `before` bytes.
+  void note_buffer(std::size_t before, std::size_t after) {
+    buffer_bytes = buffer_bytes + after - before;
+    buffer_bytes_peak = std::max(buffer_bytes_peak, buffer_bytes);
   }
 
-  /// Advances the cursor of section `idx` to its next emittable record
-  /// (skipping comments, blanks, and unresolved senders — the default
-  /// stream filter); false once the section is exhausted.
-  bool refill(std::uint32_t idx) {
-    const Section& section = sections[idx];
-    SectionCursor& cursor = cursors[idx];
-    while (cursor.next_offset < section.end) {
-      if (!read_line_at(cursor.next_offset)) {
-        return false;
-      }
-      ++cursor.line;
-      const std::string_view line = strip_cr(raw);
-      if (line.empty() || line.front() == '#') {
-        continue;
-      }
-      const csv_line::Cursor at{.file = path, .line = cursor.line};
-      const csv_line::Row row = csv_line::parse_row(line, header, declared_nranks, at);
-      if (row.rec.sender == trace::kUnresolvedSender) {
-        continue;
-      }
-      cursor.lookahead = to_timed(row);
-      return true;
+  void open_shared_handle() {
+    // Unbuffered: every read is a whole block into a reader's own buffer,
+    // and a seek must not throw away a filebuf buffer filled for nothing.
+    is.rdbuf()->pubsetbuf(nullptr, 0);
+    is.open(path, std::ios::binary);
+    if (!is) {
+      throw IngestError(
+          {.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
     }
-    return false;
+  }
+
+  /// Parses lines from `lines` up to the next emittable record (skipping
+  /// comments, blanks, and unresolved senders — the default stream
+  /// filter); nullopt once the reader is exhausted.
+  std::optional<TimedEvent> next_event(csv_line::LineReader& lines) {
+    const std::size_t before = lines.buffer_bytes();
+    std::optional<TimedEvent> out;
+    csv_line::Line line;
+    while (!out && lines.next(line)) {
+      if (line.text.empty() || line.text.front() == '#') {
+        continue;
+      }
+      const csv_line::Cursor at{.file = path, .line = line.number};
+      const csv_line::Row row = csv_line::parse_row(line.text, header, declared_nranks, at);
+      if (row.rec.sender != trace::kUnresolvedSender) {
+        out = to_timed(row);
+      }
+    }
+    note_buffer(before, lines.buffer_bytes());
+    return out;
   }
 
   std::size_t next_batch_native(std::size_t max_events, std::vector<TimedEvent>& out) {
@@ -173,12 +165,12 @@ struct CsvStreamReader::Impl {
     while (appended < max_events && !heap.empty()) {
       const HeapItem top = heap.top();
       heap.pop();
-      out.push_back(cursors[top.idx].lookahead);
+      SectionCursor& cursor = cursors[top.idx];
+      out.push_back(cursor.lookahead);
       ++appended;
-      if (refill(top.idx)) {
-        heap.push({.time = cursors[top.idx].lookahead.time.count(),
-                   .rank = sections[top.idx].rank,
-                   .idx = top.idx});
+      if (const auto ev = next_event(cursor.lines)) {
+        cursor.lookahead = *ev;
+        heap.push({.time = ev->time.count(), .rank = top.rank, .idx = top.idx});
       }
     }
     return appended;
@@ -197,7 +189,6 @@ struct CsvStreamReader::Impl {
 
   std::size_t next_batch_flat(std::size_t max_events, std::vector<TimedEvent>& out) {
     std::size_t appended = 0;
-    std::size_t line_no = data_start_line;
     while (appended < max_events) {
       if (!pending.empty()) {
         out.push_back(pending.front());
@@ -212,27 +203,16 @@ struct CsvStreamReader::Impl {
         flush_tie_group();
         continue;
       }
-      if (!read_line_at(data_start)) {
+      const auto ev = next_event(*flat_lines);
+      if (!ev) {
         file_done = true;
         continue;
       }
-      ++data_start_line;
-      line_no = data_start_line;
-      const std::string_view line = strip_cr(raw);
-      if (line.empty() || line.front() == '#') {
-        continue;
-      }
-      const csv_line::Cursor at{.file = path, .line = line_no};
-      const csv_line::Row row = csv_line::parse_row(line, header, declared_nranks, at);
-      if (row.rec.sender == trace::kUnresolvedSender) {
-        continue;
-      }
-      const TimedEvent ev = to_timed(row);
-      if (!tie_group.empty() && ev.time.count() != tie_time) {
+      if (!tie_group.empty() && ev->time.count() != tie_time) {
         flush_tie_group();
       }
-      tie_time = ev.time.count();
-      tie_group.push_back(ev);
+      tie_time = ev->time.count();
+      tie_group.push_back(*ev);
       note_buffered(tie_group.size() + pending.size());
     }
     return appended;
@@ -254,20 +234,22 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
                                                        trace::Level level) {
   auto im = std::make_unique<Impl>();
   im->path = path;
-  im->level = level;
 
   // Validation scan: every line is checked with the same grammar the
   // materializing parser applies (one pass, nothing retained), sections
   // are indexed, and the time layout is probed so the merge knows whether
   // it can stream this file.
-  std::ifstream scan(path);
+  std::ifstream scan(path, std::ios::binary);
   if (!scan) {
     throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
   }
+  csv_line::BlockSource scan_source(scan);
+  csv_line::LineReader lines(scan_source, kBlockBytes);
+  csv_line::Line line;
   csv_line::Cursor at{.file = path};
   std::optional<csv_line::HeaderInfo> header;
-  std::uint64_t offset = 0;
-  std::string raw;
+  std::uint64_t data_start = 0;
+  std::size_t data_start_line = 0;
   std::int32_t max_rank = -1;
   int run_rank = -1;
   int run_level = -1;
@@ -277,36 +259,35 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
   std::int64_t flat_last_time = std::numeric_limits<std::int64_t>::min();
   std::vector<Impl::Section> all_sections;
   std::vector<int> section_levels;
-  while (std::getline(scan, raw)) {
-    ++at.line;
-    const std::uint64_t line_start = offset;
-    offset += raw.size() + (scan.eof() ? 0 : 1);
-    const std::string_view line = strip_cr(raw);
-    if (line.empty()) {
+  while (lines.next(line)) {
+    at.line = line.number;
+    if (line.text.empty()) {
       continue;
     }
-    if (line.front() == '#') {
+    if (line.text.front() == '#') {
       if (!header) {
-        csv_line::handle_directive(csv_line::trim(line.substr(1)), im->declared_nranks, at);
+        csv_line::handle_directive(csv_line::trim(line.text.substr(1)), im->declared_nranks, at);
       }
       continue;
     }
     if (!header) {
-      header = csv_line::match_header(line);
+      header = csv_line::match_header(line.text);
       if (!header) {
-        csv_line::reject_header(line, at);
+        csv_line::reject_header(line.text, at);
       }
-      im->data_start = offset;
-      im->data_start_line = at.line;
+      data_start = lines.position();
+      data_start_line = line.number;
       continue;
     }
-    const csv_line::Row row = csv_line::parse_row(line, *header, im->declared_nranks, at);
+    const csv_line::Row row = csv_line::parse_row(line.text, *header, im->declared_nranks, at);
     max_rank = std::max({max_rank, static_cast<std::int32_t>(row.rank), row.rec.sender});
     if (header->dialect == csv_line::Dialect::Native) {
       const int row_level = static_cast<int>(row.level);
       if (row.rank != run_rank || row_level != run_level) {
-        all_sections.push_back(
-            {.rank = row.rank, .start = line_start, .end = 0, .start_line = at.line - 1});
+        all_sections.push_back({.rank = row.rank,
+                                .start = line.offset,
+                                .end = 0,
+                                .lines_before = line.number - 1});
         section_levels.push_back(row_level);
         run_rank = row.rank;
         run_level = row_level;
@@ -324,13 +305,16 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
   if (!header) {
     throw IngestError({.file = path, .line = 0, .field = {}, .reason = "no header line found"});
   }
+  im->buffer_bytes_peak = lines.buffer_bytes();  // the scan's block, freed on return
   im->header = *header;
   im->nranks = im->declared_nranks.value_or(std::max(max_rank + 1, 1));
   for (std::size_t i = 0; i < all_sections.size(); ++i) {
-    all_sections[i].end = i + 1 < all_sections.size() ? all_sections[i + 1].start : offset;
+    all_sections[i].end =
+        i + 1 < all_sections.size() ? all_sections[i + 1].start : lines.position();
   }
 
   const int level_int = static_cast<int>(level);
+  std::vector<Impl::Section> mine;
   if (header->dialect == csv_line::Dialect::Flat) {
     if (level != trace::Level::Physical) {
       im->mode = Impl::Mode::Empty;
@@ -340,7 +324,6 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
       im->mode = Impl::Mode::Materialized;
     }
   } else {
-    std::vector<Impl::Section> mine;
     for (std::size_t i = 0; i < all_sections.size(); ++i) {
       if (section_levels[i] == level_int) {
         mine.push_back(all_sections[i]);
@@ -348,7 +331,6 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
     }
     if (level_mono[level_int] && all_sections.size() <= kMaxStreamSections) {
       im->mode = Impl::Mode::NativeMerge;
-      im->sections = std::move(mine);
     } else {
       im->mode = Impl::Mode::Materialized;
     }
@@ -356,34 +338,26 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
 
   switch (im->mode) {
     case Impl::Mode::NativeMerge: {
-      im->is.open(path);
-      if (!im->is) {
-        throw IngestError({.file = path,
-                           .line = 0,
-                           .field = {},
-                           .reason = "cannot open for reading"});
-      }
-      im->cursors.resize(im->sections.size());
-      for (std::uint32_t i = 0; i < im->sections.size(); ++i) {
-        im->cursors[i].next_offset = im->sections[i].start;
-        im->cursors[i].line = im->sections[i].start_line;
-        if (im->refill(i)) {
-          im->heap.push({.time = im->cursors[i].lookahead.time.count(),
-                         .rank = im->sections[i].rank,
-                         .idx = i});
+      im->open_shared_handle();
+      im->cursors.reserve(mine.size());
+      const std::size_t block =
+          std::min(kBlockBytes, kBufferBudgetBytes / std::max<std::size_t>(mine.size(), 1));
+      for (std::uint32_t i = 0; i < mine.size(); ++i) {
+        const Impl::Section& section = mine[i];
+        im->cursors.push_back({.lines = csv_line::LineReader(im->source, block,
+                                                             section.start, section.lines_before,
+                                                             section.end)});
+        if (const auto ev = im->next_event(im->cursors.back().lines)) {
+          im->cursors.back().lookahead = *ev;
+          im->heap.push({.time = ev->time.count(), .rank = section.rank, .idx = i});
         }
       }
       im->note_buffered(im->heap.size());
       break;
     }
     case Impl::Mode::FlatSequential: {
-      im->is.open(path);
-      if (!im->is) {
-        throw IngestError({.file = path,
-                           .line = 0,
-                           .field = {},
-                           .reason = "cannot open for reading"});
-      }
+      im->open_shared_handle();
+      im->flat_lines.emplace(im->source, kBlockBytes, data_start, data_start_line);
       break;
     }
     case Impl::Mode::Materialized: {
@@ -391,7 +365,7 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
       // times, or a section blow-up) cannot be merged incrementally; fall
       // back to the materializing parser's own stream adapter so the
       // emitted order is the non-streamed path's by construction.
-      std::ifstream reparse(path);
+      std::ifstream reparse(path, std::ios::binary);
       if (!reparse) {
         throw IngestError({.file = path,
                            .line = 0,
@@ -427,6 +401,10 @@ bool CsvStreamReader::streaming() const noexcept {
 }
 
 std::size_t CsvStreamReader::peak_buffered_events() const noexcept { return impl_->buffered_peak; }
+
+std::size_t CsvStreamReader::peak_buffered_bytes() const noexcept {
+  return impl_->buffer_bytes_peak;
+}
 
 int CsvStreamReader::nranks() const noexcept { return impl_->nranks; }
 

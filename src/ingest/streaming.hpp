@@ -5,11 +5,12 @@
 // vector. An EventStream yields time-ordered TimedEvents a batch at a
 // time; CsvStreamReader implements it directly over a file (bounded
 // memory — it never holds more than one batch plus a per-section
-// lookahead); StreamingReplay drives PredictionEngine::observe_batches so
-// the parse of batch N+1 overlaps the shard drain of batch N. Batch
-// boundaries never change any stream's event order, so engine reports are
-// byte-identical across batch sizes and shard counts — the gates in
-// ingest/verify.hpp pin streamed == materialized == simulated.
+// lookahead record and block buffer); StreamingReplay drives
+// PredictionEngine::observe_batches so the parse of batch N+1 overlaps
+// the shard drain of batch N. Batch boundaries never change any stream's
+// event order, so engine reports are byte-identical across batch sizes
+// and shard counts — the gates in ingest/verify.hpp pin streamed ==
+// materialized == simulated.
 
 #include <cstddef>
 #include <cstdint>
@@ -89,20 +90,39 @@ class VectorEventStream final : public EventStream {
 /// `events_from_trace` over the parsed store: stable by time, ties in
 /// rank-major record order, unresolved senders dropped.
 ///
+/// Memory: besides the lookaheads, each section keeps one line buffer (the
+/// flat dialect keeps one in all), and all of them read through a single
+/// file handle, so a section costs one seek and one read per block rather
+/// than per row. A section's block is kBufferBudgetBytes split evenly over
+/// the sections, capped at kBlockBytes, so the buffers together stay under
+/// the budget however many sections the file has. A buffer grows past its
+/// block only while it holds a single line longer than the block.
+///
 /// Layouts the merge cannot stream — a flat file whose timestamps
 /// decrease, a native section with non-monotone times, or more sections
 /// than kMaxStreamSections — fall back to materializing (still correct,
 /// reported by streaming() == false). open() fully validates every line
-/// (one scan, same grammar as CsvTraceSource::parse) without retaining
-/// events, so a malformed file is rejected up front with the usual
-/// file:line diagnostic.
+/// (one block-buffered scan, same grammar as CsvTraceSource::parse)
+/// without retaining events, so a malformed file is rejected up front
+/// with the usual file:line diagnostic.
 class CsvStreamReader final : public EventStream {
  public:
   /// Section-count ceiling for the native K-way merge (each section costs
-  /// one cursor + one lookahead record). write_csv emits nranks*2; a file
-  /// interleaving ranks per line would degenerate to one section per line
-  /// and is materialized instead.
+  /// one cursor: a lookahead record and a line buffer). write_csv emits
+  /// nranks*2; a file interleaving ranks per line would degenerate to one
+  /// section per line and is materialized instead.
   static constexpr std::size_t kMaxStreamSections = 1 << 16;
+
+  /// Bytes each line buffer reads per block at most (less for a section
+  /// shorter than a block, or when the budget below is split over many
+  /// sections).
+  static constexpr std::size_t kBlockBytes = 16 * 1024;
+
+  /// Line-buffer bytes one reader holds at most while its lines fit their
+  /// blocks: 16 sections read full blocks, 65,536 read 64 bytes each.
+  static constexpr std::size_t kBufferBudgetBytes = 4 * 1024 * 1024;
+  static_assert(kBufferBudgetBytes / kMaxStreamSections >= 64,
+                "a section block must still hold a typical row");
 
   [[nodiscard]] static std::unique_ptr<CsvStreamReader> open(const std::string& path,
                                                              trace::Level level);
@@ -120,6 +140,12 @@ class CsvStreamReader final : public EventStream {
   /// never exceeds the per-section lookahead plus one tie group,
   /// independent of the trace length.
   [[nodiscard]] std::size_t peak_buffered_events() const noexcept;
+
+  /// High-water mark of line-buffer bytes held at once: open()'s scan
+  /// block, then the section cursors' (or the flat reader's) blocks. While
+  /// lines fit their blocks this is at most kBufferBudgetBytes, whatever
+  /// the trace length or section count.
+  [[nodiscard]] std::size_t peak_buffered_bytes() const noexcept;
 
   /// Ranks covered: declared by the file, or inferred as max rank + 1.
   [[nodiscard]] int nranks() const noexcept;

@@ -1,43 +1,19 @@
 #include "trace/csv.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <ostream>
-#include <sstream>
-#include <string_view>
-#include <vector>
 
 #include "common/error.hpp"
-#include "trace/csv_util.hpp"
 
 namespace mpipred::trace {
 
-namespace {
-
-constexpr std::string_view kHeader = csv_util::kNativeHeader;
-
-template <typename T>
-T parse_int(std::string_view field, std::string_view what) {
-  T value{};
-  const auto* begin = field.data();
-  const auto* end = field.data() + field.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    throw Error("trace csv: malformed " + std::string(what) + " field '" + std::string(field) +
-                "'");
-  }
-  return value;
-}
-
-}  // namespace
-
 void write_csv(std::ostream& os, const TraceStore& store) {
   // The versioned preamble lets re-ingestion (src/ingest/) recover the
-  // exact rank count even when the top ranks logged no records; read_csv
-  // below and older readers skip '#' lines.
+  // exact rank count even when the top ranks logged no records; readers
+  // that predate it skip '#' lines.
   os << "# mpipred-trace: v1\n";
   os << "# nranks: " << store.nranks() << '\n';
-  os << kHeader << '\n';
+  os << kCsvHeader << '\n';
   for (int rank = 0; rank < store.nranks(); ++rank) {
     for (const Level level : {Level::Logical, Level::Physical}) {
       for (const Record& rec : store.records(rank, level)) {
@@ -58,78 +34,6 @@ void write_csv_file(const std::string& path, const TraceStore& store) {
   if (!os) {
     throw Error("trace csv: write to '" + path + "' failed");
   }
-}
-
-TraceStore read_csv(std::istream& is, int nranks) {
-  using csv_util::split;
-  using csv_util::strip_cr;
-  TraceStore store(nranks);
-  std::string raw;
-  std::size_t lineno = 0;
-  // Preamble: '#' comment/directive lines (this reader trusts its caller
-  // for the rank count, so directives are skipped, not interpreted) and
-  // blanks up to the mandatory header.
-  bool header_seen = false;
-  while (std::getline(is, raw)) {
-    ++lineno;
-    const std::string_view line = strip_cr(raw);
-    if (line.empty() || line.front() == '#') {
-      continue;
-    }
-    if (line != kHeader) {
-      throw Error("trace csv: missing or unexpected header");
-    }
-    header_seen = true;
-    break;
-  }
-  if (!header_seen) {
-    throw Error("trace csv: missing or unexpected header");
-  }
-  while (std::getline(is, raw)) {
-    ++lineno;
-    const std::string_view line = strip_cr(raw);
-    if (line.empty() || line.front() == '#') {
-      continue;
-    }
-    const auto fields = split(line);
-    if (fields.size() != 7) {
-      throw Error("trace csv: line " + std::to_string(lineno) + " has " +
-                  std::to_string(fields.size()) + " fields, expected 7");
-    }
-    const int rank = parse_int<int>(fields[0], "rank");
-    if (rank < 0 || rank >= nranks) {
-      throw Error("trace csv: line " + std::to_string(lineno) + " has rank " +
-                  std::to_string(rank) + " outside [0, " + std::to_string(nranks) + ")");
-    }
-    const int level_raw = parse_int<int>(fields[1], "level");
-    if (level_raw < 0 || level_raw >= kNumLevels) {
-      throw Error("trace csv: line " + std::to_string(lineno) + " has invalid level");
-    }
-    Record rec;
-    rec.time = sim::SimTime{parse_int<std::int64_t>(fields[2], "time_ns")};
-    rec.sender = parse_int<std::int32_t>(fields[3], "sender");
-    rec.bytes = parse_int<std::int64_t>(fields[4], "bytes");
-    const int kind_raw = parse_int<int>(fields[5], "kind");
-    if (kind_raw < 0 || kind_raw > 1) {
-      throw Error("trace csv: line " + std::to_string(lineno) + " has invalid kind");
-    }
-    rec.kind = static_cast<OpKind>(kind_raw);
-    const int op_raw = parse_int<int>(fields[6], "op");
-    if (op_raw < 0 || op_raw >= kNumOps) {
-      throw Error("trace csv: line " + std::to_string(lineno) + " has invalid op");
-    }
-    rec.op = static_cast<Op>(op_raw);
-    store.append(rank, static_cast<Level>(level_raw), rec);
-  }
-  return store;
-}
-
-TraceStore read_csv_file(const std::string& path, int nranks) {
-  std::ifstream is(path);
-  if (!is) {
-    throw Error("trace csv: cannot open '" + path + "' for reading");
-  }
-  return read_csv(is, nranks);
 }
 
 }  // namespace mpipred::trace

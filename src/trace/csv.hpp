@@ -2,26 +2,23 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "trace/store.hpp"
 
 namespace mpipred::trace {
+
+/// The native schema's column header, which write_csv emits and the
+/// ingest reader (src/ingest/) recognizes.
+inline constexpr std::string_view kCsvHeader = "rank,level,time_ns,sender,bytes,kind,op";
 
 /// Writes every record of `store` as CSV with the header
 /// `rank,level,time_ns,sender,bytes,kind,op`, preceded by the versioned
 /// `# mpipred-trace: v1` / `# nranks: N` preamble (so re-ingestion
 /// recovers the rank count even when the top ranks logged nothing).
 /// Streams are emitted rank by rank, level by level, preserving in-stream
-/// order.
+/// order. ingest::open_trace (src/ingest/source.hpp) reads the file back.
 void write_csv(std::ostream& os, const TraceStore& store);
 void write_csv_file(const std::string& path, const TraceStore& store);
-
-/// Reads a CSV produced by write_csv back into a store with `nranks` ranks
-/// (the caller's count is authoritative; preamble directives are skipped —
-/// src/ingest/ is the reader that interprets them). Accepts CRLF line
-/// endings and `#` comment lines. Throws mpipred::Error on malformed
-/// input, naming the offending line.
-[[nodiscard]] TraceStore read_csv(std::istream& is, int nranks);
-[[nodiscard]] TraceStore read_csv_file(const std::string& path, int nranks);
 
 }  // namespace mpipred::trace

@@ -393,30 +393,241 @@ TEST(Streaming, FlatSortedStreamsUnsortedFallsBack) {
   EXPECT_TRUE(pull_all(*logical, 16).empty());
 }
 
-// The bounded-memory property of the tentpole: while streaming, the
-// reader never holds more than the per-section lookahead (plus one
+// The bounded-memory property of the streaming reader: while streaming,
+// it never holds more than the per-section lookahead (plus one
 // timestamp-tie group for flat files) — in particular never `max_events`
-// parsed events — however long the trace is.
+// parsed events — nor more than one line-buffer block per section,
+// however long the trace is.
 TEST(Streaming, BoundedBufferingIndependentOfTraceLength) {
-  std::string flat = std::string(kFlat);
-  for (int i = 0; i < 10000; ++i) {
-    flat += std::to_string(i) + "," + std::to_string(i % 3) + "," + std::to_string(i % 4) +
-            ",64\n";
+  constexpr std::size_t kBlock = CsvStreamReader::kBlockBytes;
+  std::vector<std::size_t> flat_bytes;
+  for (const int rows : {10000, 40000}) {
+    std::string flat = std::string(kFlat);
+    for (int i = 0; i < rows; ++i) {
+      flat += std::to_string(i) + "," + std::to_string(i % 3) + "," + std::to_string(i % 4) +
+              ",64\n";
+    }
+    const std::string flat_path = write_temp_file("stream_flat_long.csv", flat);
+    auto flat_reader = CsvStreamReader::open(flat_path, trace::Level::Physical);
+    const auto got = pull_all(*flat_reader, 64);
+    EXPECT_EQ(got.size(), static_cast<std::size_t>(rows));
+    EXPECT_TRUE(flat_reader->streaming());
+    EXPECT_LE(flat_reader->peak_buffered_events(), 2u);  // distinct times: tie groups of 1
+    // One block: open()'s scan, then the single forward reader.
+    EXPECT_LE(flat_reader->peak_buffered_bytes(), kBlock);
+    flat_bytes.push_back(flat_reader->peak_buffered_bytes());
   }
-  const std::string flat_path = write_temp_file("stream_flat_long.csv", flat);
-  auto flat_reader = CsvStreamReader::open(flat_path, trace::Level::Physical);
-  const auto got = pull_all(*flat_reader, 64);
-  EXPECT_EQ(got.size(), 10000u);
-  EXPECT_TRUE(flat_reader->streaming());
-  EXPECT_LE(flat_reader->peak_buffered_events(), 2u);  // distinct times: tie groups of 1
+  EXPECT_EQ(flat_bytes[0], flat_bytes[1]);
 
-  const auto store = random_store(/*seed=*/7, /*nranks=*/4, /*records_per_rank=*/1000);
-  const std::string native_path = ::testing::TempDir() + "stream_native_long.csv";
-  trace::write_csv_file(native_path, store);
-  auto native_reader = CsvStreamReader::open(native_path, trace::Level::Physical);
-  EXPECT_EQ(pull_all(*native_reader, 64).size(),
-            engine::events_from_trace(store, trace::Level::Physical).size());
-  EXPECT_LE(native_reader->peak_buffered_events(), 4u);  // one lookahead per rank section
+  std::vector<std::size_t> native_bytes;
+  for (const int records_per_rank : {2000, 8000}) {
+    const auto store = random_store(/*seed=*/7, /*nranks=*/4, records_per_rank);
+    const std::string native_path = ::testing::TempDir() + "stream_native_long.csv";
+    trace::write_csv_file(native_path, store);
+    auto native_reader = CsvStreamReader::open(native_path, trace::Level::Physical);
+    EXPECT_EQ(pull_all(*native_reader, 64).size(),
+              engine::events_from_trace(store, trace::Level::Physical).size());
+    EXPECT_LE(native_reader->peak_buffered_events(), 4u);  // one lookahead per rank section
+    // One block per rank section, each section being longer than a block.
+    EXPECT_LE(native_reader->peak_buffered_bytes(), 4 * kBlock);
+    native_bytes.push_back(native_reader->peak_buffered_bytes());
+  }
+  EXPECT_EQ(native_bytes[0], native_bytes[1]);
+
+  // Many sections: 4,096 rank sections of ~1.4 KiB each would need ~5.6 MiB
+  // of blocks of their own size; the budget splits instead.
+  const auto wide = random_store(/*seed=*/11, /*nranks=*/4096, /*records_per_rank=*/64);
+  const std::string wide_path = ::testing::TempDir() + "stream_native_wide.csv";
+  trace::write_csv_file(wide_path, wide);
+  auto wide_reader = CsvStreamReader::open(wide_path, trace::Level::Physical);
+  EXPECT_TRUE(wide_reader->streaming());
+  EXPECT_EQ(strip_times(pull_all(*wide_reader, 8192)),
+            engine::events_from_trace(wide, trace::Level::Physical));
+  EXPECT_LE(wide_reader->peak_buffered_events(), 4096u);
+  EXPECT_LE(wide_reader->peak_buffered_bytes(), CsvStreamReader::kBufferBudgetBytes);
+}
+
+// ---------------------------------------------------------------------------
+// Block boundaries. The CSV line reader pulls CsvStreamReader::kBlockBytes
+// at a time, so the corpus below has sections several blocks long, lines
+// straddling block edges, single lines longer than a block, CRLF endings,
+// comments and blank lines inside sections, and files without a final
+// newline. The streamed, materialized and CsvTraceSource paths must agree
+// on every variant at every batch size.
+
+constexpr std::size_t kBlock = CsvStreamReader::kBlockBytes;
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+/// Rebuilds a file from `lines`, each ending in `eol` except, when
+/// `final_newline` is false, the last.
+std::string join_lines(const std::vector<std::string>& lines, const std::string& eol,
+                       bool final_newline) {
+  std::string text;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    text += lines[i];
+    if (i + 1 < lines.size() || final_newline) {
+      text += eol;
+    }
+  }
+  return text;
+}
+
+/// The boundary variants of an LF file whose data lines start after line
+/// `header`: every variant carries the same events. `bytes_field` is the
+/// column padded with leading zeros into a line longer than a block.
+std::vector<std::pair<std::string, std::string>> boundary_variants(const std::string& text,
+                                                                   std::size_t header,
+                                                                   std::size_t bytes_field) {
+  const std::vector<std::string> lines = lines_of(text);
+  std::vector<std::string> noted;  // a comment and a blank every 50 data lines
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    noted.push_back(lines[i]);
+    if (i > header && i % 50 == 0) {
+      noted.push_back("# note inside a section");
+      noted.push_back("");
+    }
+  }
+  std::vector<std::string> long_lines = lines;
+  const std::size_t mid = header + (lines.size() - header) / 2;
+  long_lines.insert(long_lines.begin() + static_cast<std::ptrdiff_t>(mid),
+                    "#" + std::string(3 * kBlock, 'c'));
+  std::vector<std::string> fields;
+  std::istringstream row(long_lines[mid + 1]);
+  for (std::string f; std::getline(row, f, ',');) {
+    fields.push_back(f);
+  }
+  fields.at(bytes_field).insert(0, 2 * kBlock, '0');
+  std::string padded;
+  for (const std::string& f : fields) {
+    padded += (padded.empty() ? "" : ",") + f;
+  }
+  long_lines[mid + 1] = padded;
+  std::vector<std::string> everything = long_lines;
+  everything.insert(everything.begin() + static_cast<std::ptrdiff_t>(header) + 7, "");
+  everything.insert(everything.begin() + static_cast<std::ptrdiff_t>(header) + 3,
+                    "# and one comment more");
+  return {{"lf", text},
+          {"crlf", join_lines(lines, "\r\n", true)},
+          {"no-final-newline", join_lines(lines, "\n", false)},
+          {"crlf-no-final-newline", join_lines(lines, "\r\n", false)},
+          {"comments-and-blanks", join_lines(noted, "\n", true)},
+          {"long-lines", join_lines(long_lines, "\n", true)},
+          {"everything", join_lines(everything, "\r\n", false)}};
+}
+
+/// Checks one corpus file on every path and batch size against `expect`.
+void expect_paths_agree(const std::string& name, const std::string& text,
+                        trace::Level level, const std::vector<engine::Event>& expect) {
+  const std::string path = write_temp_file("boundary_" + name + ".csv", text);
+  const auto source = open_trace(path);  // CsvTraceSource::parse
+  ASSERT_EQ(source->events(level), expect) << name;
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{8192},
+                                  std::size_t{0}}) {
+    auto reader = CsvStreamReader::open(path, level);
+    EXPECT_TRUE(reader->streaming()) << name;
+    const auto streamed = drain(*reader, batch);
+    const auto materialized = drain(*source->stream_events(level), batch);
+    EXPECT_EQ(streamed, materialized) << name << " batch " << batch;
+    EXPECT_EQ(strip_times(streamed), expect) << name << " batch " << batch;
+  }
+}
+
+TEST(BlockBoundaries, NativeVariantsAgreeOnEveryPath) {
+  const auto store = random_store(/*seed=*/404, /*nranks=*/4, /*records_per_rank=*/2500);
+  std::stringstream csv;
+  trace::write_csv(csv, store);
+  ASSERT_GT(csv.str().size() / 8, 2 * kBlock);  // each of the 8 sections spans blocks
+  for (const auto& [name, text] : boundary_variants(csv.str(), /*header=*/2, /*bytes_field=*/4)) {
+    for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
+      expect_paths_agree("native_" + name, text, level, engine::events_from_trace(store, level));
+    }
+  }
+}
+
+TEST(BlockBoundaries, FlatVariantsAgreeOnEveryPath) {
+  std::mt19937 rng(505);
+  std::string text = kFlat;
+  std::int64_t t = 0;
+  for (int i = 0; i < 20000; ++i) {
+    t += static_cast<std::int64_t>(rng() % 3);  // frequent ties across receivers
+    text += std::to_string(t) + "," + std::to_string(rng() % 6) + "," +
+            std::to_string(rng() % 6) + "," + std::to_string(8 << (rng() % 6)) + "\n";
+  }
+  ASSERT_GT(text.size(), 8 * kBlock);
+  const auto expect = parse(text)->events(trace::Level::Physical);
+  ASSERT_EQ(expect.size(), 20000u);
+  for (const auto& [name, variant] : boundary_variants(text, /*header=*/0, /*bytes_field=*/3)) {
+    expect_paths_agree("flat_" + name, variant, trace::Level::Physical, expect);
+  }
+}
+
+/// The diagnostic both readers give for `path`; fails the test when the
+/// file is accepted or the two disagree.
+Diagnostic diagnostic_of(const std::string& path) {
+  Diagnostic streamed;
+  Diagnostic parsed;
+  try {
+    (void)CsvStreamReader::open(path, trace::Level::Physical);
+    ADD_FAILURE() << "CsvStreamReader accepted " << path;
+  } catch (const IngestError& e) {
+    streamed = e.where();
+  }
+  std::ifstream is(path);
+  try {
+    (void)CsvTraceSource::parse(is, path);
+    ADD_FAILURE() << "CsvTraceSource accepted " << path;
+  } catch (const IngestError& e) {
+    parsed = e.where();
+  }
+  EXPECT_EQ(to_string(streamed), to_string(parsed));
+  return streamed;
+}
+
+// A malformed row deep in a multi-block file, placed across a block edge:
+// both readers name the same file:line, field and reason as for a short
+// file.
+TEST(BlockBoundaries, MalformedRowDeepInFileKeepsItsDiagnostic) {
+  const auto store = random_store(/*seed=*/606, /*nranks=*/4, /*records_per_rank=*/2500);
+  std::stringstream csv;
+  trace::write_csv(csv, store);
+  std::vector<std::string> lines = lines_of(csv.str());
+  // The data line that straddles the third block edge, with room to grow.
+  std::size_t victim = 0;
+  for (std::size_t i = 0, offset = 0; i < lines.size(); offset += lines[i].size() + 1, ++i) {
+    if (i > 2 && offset + 2 < 3 * kBlock && 3 * kBlock < offset + lines[i].size() - 2) {
+      victim = i;
+      break;
+    }
+  }
+  ASSERT_NE(victim, 0u);
+  const std::string good = lines[victim];
+
+  lines[victim] = good.substr(0, good.rfind(',')) + ",99";
+  Diagnostic d =
+      diagnostic_of(write_temp_file("boundary_bad_op.csv", join_lines(lines, "\n", true)));
+  EXPECT_EQ(d.line, victim + 1);
+  EXPECT_EQ(d.field, "op");
+  EXPECT_EQ(d.reason, "value 99 outside [0, " + std::to_string(trace::kNumOps) + ")");
+
+  lines[victim] = good + ",1,2";  // more fields than the splitter stores
+  d = diagnostic_of(write_temp_file("boundary_wide.csv", join_lines(lines, "\r\n", true)));
+  EXPECT_EQ(d.line, victim + 1);
+  EXPECT_EQ(d.field, "");
+  EXPECT_EQ(d.reason, "has 9 fields, expected 7");
+
+  lines[victim] = good.substr(0, good.find(',')) + ",0,12x,1,8,0,0";
+  d = diagnostic_of(write_temp_file("boundary_bad_int.csv", join_lines(lines, "\n", false)));
+  EXPECT_EQ(d.line, victim + 1);
+  EXPECT_EQ(d.field, "time_ns");
+  EXPECT_EQ(d.reason, "malformed integer '12x'");
 }
 
 TEST(Streaming, NonMonotoneNativeSectionFallsBackByteIdentical) {

@@ -9,6 +9,7 @@
 #include "apps/registry.hpp"
 #include "core/evaluate.hpp"
 #include "core/set_prediction.hpp"
+#include "ingest/source.hpp"
 #include "mpi/world.hpp"
 #include "scale/buffer_manager.hpp"
 #include "scale/rendezvous.hpp"
@@ -137,8 +138,8 @@ TEST(Pipeline, TraceRoundTripPreservesEvaluation) {
 
   std::stringstream ss;
   trace::write_csv(ss, world.traces());
-  const auto reloaded = trace::read_csv(ss, 4);
-  const auto after = trace::extract_streams(reloaded, 2, trace::Level::Logical);
+  const auto reloaded = ingest::open_trace_stream(ss);
+  const auto after = trace::extract_streams(*reloaded->store(), 2, trace::Level::Logical);
 
   EXPECT_EQ(before.senders, after.senders);
   EXPECT_EQ(before.sizes, after.sizes);

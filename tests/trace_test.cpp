@@ -1,5 +1,5 @@
 // Trace substrate: store semantics, stream extraction, Table-1 statistics,
-// and CSV round-tripping.
+// and CSV round-tripping (write_csv out, the ingest reader back in).
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "ingest/source.hpp"
 #include "trace/csv.hpp"
 #include "trace/stats.hpp"
 #include "trace/store.hpp"
@@ -19,6 +20,10 @@ Record make(std::int32_t sender, std::int64_t bytes, OpKind kind = OpKind::Point
             Op op = Op::Recv, std::int64_t t = 0) {
   return Record{.time = sim::SimTime{t}, .sender = sender, .bytes = bytes, .kind = kind, .op = op};
 }
+
+/// Reads a CSV back through the ingest boundary, the repository's one CSV
+/// reader.
+TraceStore read_back(std::istream& is) { return *ingest::open_trace_stream(is)->store(); }
 
 TEST(Store, AppendAndRead) {
   TraceStore store(2);
@@ -142,7 +147,7 @@ TEST(Csv, RoundTripsAllFields) {
 
   std::stringstream ss;
   write_csv(ss, store);
-  const TraceStore back = read_csv(ss, 2);
+  const TraceStore back = read_back(ss);
 
   for (int r = 0; r < 2; ++r) {
     for (const auto level : {Level::Logical, Level::Physical}) {
@@ -159,19 +164,19 @@ TEST(Csv, RoundTripsAllFields) {
 TEST(Csv, RejectsMalformedInput) {
   {
     std::stringstream ss("not,a,header\n");
-    EXPECT_THROW((void)read_csv(ss, 1), Error);
+    EXPECT_THROW((void)read_back(ss), Error);
   }
   {
     std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n0,0,1,2\n");
-    EXPECT_THROW((void)read_csv(ss, 1), Error);
+    EXPECT_THROW((void)read_back(ss), Error);
   }
   {
     std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n0,7,1,2,3,0,0\n");
-    EXPECT_THROW((void)read_csv(ss, 1), Error);  // bad level
+    EXPECT_THROW((void)read_back(ss), Error);  // bad level
   }
   {
     std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n0,0,xx,2,3,0,0\n");
-    EXPECT_THROW((void)read_csv(ss, 1), Error);  // bad integer
+    EXPECT_THROW((void)read_back(ss), Error);  // bad integer
   }
 }
 
@@ -182,17 +187,18 @@ TEST(Csv, RejectsOutOfRangeOp) {
     std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n0,0,1,2,3,0," +
                          std::string(op) + "\n");
     try {
-      (void)read_csv(ss, 1);
+      (void)read_back(ss);
       FAIL() << "op=" << op << " was accepted";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    } catch (const ingest::IngestError& e) {
+      EXPECT_EQ(e.where().line, 2u) << e.what();
+      EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos) << e.what();
       EXPECT_NE(std::string(e.what()).find("op"), std::string::npos) << e.what();
     }
   }
   // The last valid op still parses.
   std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n0,0,1,2,3,0," +
                        std::to_string(kNumOps - 1) + "\n");
-  EXPECT_EQ(read_csv(ss, 1).records(0, Level::Logical)[0].op, Op::Scan);
+  EXPECT_EQ(read_back(ss).records(0, Level::Logical)[0].op, Op::Scan);
 }
 
 // Regression: CRLF-terminated files (Windows exports, curl -o) used to be
@@ -208,29 +214,31 @@ TEST(Csv, RoundTripsThroughCrlfLineEndings) {
     text.replace(pos, 1, "\r\n");
   }
   std::stringstream crlf(text);
-  const TraceStore back = read_csv(crlf, 2);
+  const TraceStore back = read_back(crlf);
   EXPECT_EQ(back.records(0, Level::Logical)[0], store.records(0, Level::Logical)[0]);
   EXPECT_EQ(back.records(1, Level::Physical)[0], store.records(1, Level::Physical)[0]);
 }
 
 // Regression: a rank outside [0, nranks) used to trip MPIPRED_REQUIRE
 // inside TraceStore::append (no line information) instead of a reader
-// diagnostic naming the offending line.
+// diagnostic naming the offending line (line 3: after the directive and
+// the header).
 TEST(Csv, RejectsOutOfRangeRankWithLineNumber) {
   for (const char* rank : {"-1", "2", "1000"}) {
-    std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n" + std::string(rank) +
-                         ",0,1,0,3,0,0\n");
+    std::stringstream ss("# nranks: 2\nrank,level,time_ns,sender,bytes,kind,op\n" +
+                         std::string(rank) + ",0,1,0,3,0,0\n");
     try {
-      (void)read_csv(ss, 2);
+      (void)read_back(ss);
       FAIL() << "rank=" << rank << " was accepted";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    } catch (const ingest::IngestError& e) {
+      EXPECT_EQ(e.where().line, 3u) << e.what();
+      EXPECT_NE(std::string(e.what()).find(":3:"), std::string::npos) << e.what();
       EXPECT_NE(std::string(e.what()).find("rank"), std::string::npos) << e.what();
     }
   }
 }
 
-// Property: write_csv -> read_csv is the identity on arbitrary store
+// Property: write_csv -> read_back is the identity on arbitrary store
 // contents — time ties, empty streams, both levels, wildcard senders.
 TEST(Csv, RandomizedRoundTripProperty) {
   std::mt19937 rng(20030515);  // fixed seed: reproducible corpus
@@ -255,7 +263,8 @@ TEST(Csv, RandomizedRoundTripProperty) {
     }
     std::stringstream ss;
     write_csv(ss, store);
-    const TraceStore back = read_csv(ss, nranks);
+    const TraceStore back = read_back(ss);
+    ASSERT_EQ(back.nranks(), nranks) << "iteration " << iteration;
     for (int rank = 0; rank < nranks; ++rank) {
       for (const Level level : {Level::Logical, Level::Physical}) {
         const auto a = store.records(rank, level);
@@ -274,9 +283,9 @@ TEST(Csv, FileRoundTrip) {
   store.append(0, Level::Logical, make(0, 64));
   const std::string path = ::testing::TempDir() + "/mpipred_trace_test.csv";
   write_csv_file(path, store);
-  const TraceStore back = read_csv_file(path, 1);
+  const TraceStore back = *ingest::open_trace(path)->store();
   EXPECT_EQ(back.records(0, Level::Logical).size(), 1u);
-  EXPECT_THROW((void)read_csv_file("/nonexistent/dir/x.csv", 1), Error);
+  EXPECT_THROW((void)ingest::open_trace("/nonexistent/dir/x.csv"), Error);
 }
 
 TEST(Event, ToStringCoversEnums) {
