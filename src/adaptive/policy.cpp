@@ -4,14 +4,6 @@
 
 namespace mpipred::adaptive {
 
-namespace {
-
-[[nodiscard]] std::int64_t round_up(std::int64_t bytes, std::int64_t granule) noexcept {
-  return granule <= 0 ? bytes : (bytes + granule - 1) / granule * granule;
-}
-
-}  // namespace
-
 AdaptivePolicy::AdaptivePolicy(ServiceConfig service, PolicyConfig cfg)
     : cfg_(cfg), service_(std::move(service)) {}
 

@@ -6,10 +6,11 @@
 // the rendezvous handshake, (c) which per-stream credits the receiver
 // grants. One policy object serves both the live simulated library
 // (mpi::detail::Endpoint consults it per message) and the trace-driven
-// what-if replays in src/scale/, so bench numbers and runtime behavior can
-// never drift apart.
+// what-if replays in src/scale/ (through `replay` below), so bench numbers
+// and runtime behavior can never drift apart.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "adaptive/config.hpp"
@@ -57,12 +58,22 @@ struct PolicyStats {
   }
 };
 
+/// `bytes` rounded up to a whole number of `granule`s; a granule <= 0
+/// means no rounding.
+[[nodiscard]] constexpr std::int64_t round_up(std::int64_t bytes, std::int64_t granule) noexcept {
+  return granule <= 0 ? bytes : (bytes + granule - 1) / granule * granule;
+}
+
 /// One credit the receiver pledges: `sender` may send up to `bytes`
 /// eagerly into guaranteed memory.
 struct Credit {
   std::int32_t sender = 0;
   std::int64_t bytes = 0;
 
+  /// Whether this credit lets `from` send a `size`-byte message eagerly.
+  [[nodiscard]] bool covers(std::int32_t from, std::int64_t size) const noexcept {
+    return sender == from && bytes >= size;
+  }
   [[nodiscard]] bool operator==(const Credit&) const = default;
 };
 
@@ -133,5 +144,20 @@ class AdaptivePolicy {
   std::vector<Receiver> receivers_;  // few destinations: linear scan
   PolicyStats stats_;
 };
+
+/// The one offline decision loop. Drives `policy` over `events` in the
+/// live endpoint's order — the sender's protocol choice at post time, then
+/// the receiver's arrival path (score, learn, re-plan) — and hands each
+/// decision to `visit(event, protocol, prepost_hit)`. The §2 what-ifs and
+/// the ingested-trace replay are views over it that keep only their own
+/// accounting; by the time `visit` runs, the policy has learned `event`.
+template <typename Visit>
+void replay(AdaptivePolicy& policy, std::span<const engine::Event> events, Visit&& visit) {
+  for (const engine::Event& event : events) {
+    const Protocol protocol = policy.choose_protocol(event);
+    const bool prepost_hit = policy.on_arrival(event);
+    visit(event, protocol, prepost_hit);
+  }
+}
 
 }  // namespace mpipred::adaptive

@@ -29,11 +29,7 @@ AdaptiveReplay replay_adaptive(std::span<const engine::Event> events,
   adaptive::AdaptivePolicy policy(std::move(service_cfg), cfg.policy);
   telemetry::TraceEventSink* tracer = telemetry != nullptr ? telemetry->tracer() : nullptr;
   std::int64_t ordinal = 0;
-  for (const engine::Event& event : events) {
-    // The sender's protocol decision at post time, then the receiver's
-    // arrival path — the order the live endpoint drives the policy in.
-    (void)policy.choose_protocol(event);
-    const bool hit = policy.on_arrival(event);
+  const auto trace = [&](const engine::Event& event, adaptive::Protocol, bool hit) {
     if (tracer != nullptr) {
       // An ingested stream has no clock; event ordinals stand in for it.
       tracer->instant_at(event.destination, hit ? "prepost-hit" : "prepost-miss", "replay",
@@ -42,7 +38,8 @@ AdaptiveReplay replay_adaptive(std::span<const engine::Event> events,
                              ",\"bytes\":" + std::to_string(event.bytes));
     }
     ++ordinal;
-  }
+  };
+  adaptive::replay(policy, events, trace);
   if (telemetry != nullptr) {
     policy.export_metrics(telemetry->metrics());
   }

@@ -2,10 +2,10 @@
 
 // Replays an ingested event stream through the adaptive runtime's decision
 // layer — protocol choice per message, pre-post scoring, service feed —
-// exactly the path mpi::detail::Endpoint drives live. This is what makes
-// an external trace first-class: the same registry predictor, the same
-// sharded engine, the same policy code, fed from a file instead of the
-// simulator.
+// via adaptive::replay, in the order mpi::detail::Endpoint drives live.
+// This is what makes an external trace first-class: the same registry
+// predictor, the same sharded engine, the same policy code, fed from a
+// file instead of the simulator.
 
 #include <span>
 #include <string>

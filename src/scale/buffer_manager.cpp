@@ -2,32 +2,10 @@
 
 #include <algorithm>
 
+#include "adaptive/policy.hpp"
 #include "common/assert.hpp"
 
 namespace mpipred::scale {
-
-PredictiveBufferManager::PredictiveBufferManager(const BufferManagerConfig& cfg)
-    : policy_(adaptive::ServiceConfig{.engine = cfg.engine},
-              adaptive::PolicyConfig{.buffer_bytes = cfg.buffer_bytes, .lru_keep = cfg.lru_keep}) {
-  report_.policy = "predicted";
-  report_.buffer_bytes = cfg.buffer_bytes;
-}
-
-bool PredictiveBufferManager::on_message(std::int64_t sender) {
-  // Single-receiver replay: every message arrives at destination 0; the
-  // size dimension is fed zeros (senders alone drive this mechanism).
-  const bool hit = policy_.on_arrival({.source = static_cast<std::int32_t>(sender),
-                                       .destination = 0,
-                                       .tag = 0,
-                                       .bytes = 0});
-  const adaptive::PolicyStats& stats = policy_.stats();
-  report_.messages = stats.messages;
-  report_.hits = stats.prepost_hits;
-  report_.misses = stats.prepost_misses;
-  report_.avg_buffers = stats.avg_buffers();
-  report_.peak_buffers = stats.peak_buffers;
-  return hit;
-}
 
 BufferComparison compare_buffer_policies(std::span<const std::int64_t> senders, int nranks,
                                          const BufferManagerConfig& cfg) {
@@ -51,12 +29,21 @@ BufferComparison compare_buffer_policies(std::span<const std::int64_t> senders, 
   out.none.messages = static_cast<std::int64_t>(senders.size());
   out.none.misses = out.none.messages;
 
-  // Prediction-driven.
-  PredictiveBufferManager manager(cfg);
-  for (const auto s : senders) {
-    manager.on_message(s);
-  }
-  out.predicted = manager.report();
+  // Prediction-driven: the adaptive policy's pre-post plan, read once the
+  // replay is done.
+  adaptive::AdaptivePolicy policy(
+      adaptive::ServiceConfig{.engine = cfg.engine},
+      adaptive::PolicyConfig{.buffer_bytes = cfg.buffer_bytes, .lru_keep = cfg.lru_keep});
+  adaptive::replay(policy, receiver_events(senders),
+                   [](const engine::Event&, adaptive::Protocol, bool) {});
+  const adaptive::PolicyStats& stats = policy.stats();
+  out.predicted = {.policy = "predicted",
+                   .messages = stats.messages,
+                   .hits = stats.prepost_hits,
+                   .misses = stats.prepost_misses,
+                   .avg_buffers = stats.avg_buffers(),
+                   .peak_buffers = stats.peak_buffers,
+                   .buffer_bytes = cfg.buffer_bytes};
   return out;
 }
 

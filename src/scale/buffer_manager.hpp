@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "adaptive/policy.hpp"
+#include "engine/config.hpp"
 #include "scale/report.hpp"
 
 namespace mpipred::scale {
@@ -84,27 +84,5 @@ struct BufferComparison {
 [[nodiscard]] BufferPolicyReport replay_lru_buffers(std::span<const std::int64_t> senders,
                                                     std::size_t k,
                                                     std::int64_t buffer_bytes = 16 * 1024);
-
-/// The prediction-driven policy as an online object (reused by tests and
-/// by the online example): a thin single-receiver adapter over the
-/// adaptive runtime's policy layer, so the replay exercises exactly the
-/// decision code the live endpoint uses.
-class PredictiveBufferManager {
- public:
-  explicit PredictiveBufferManager(const BufferManagerConfig& cfg = {});
-
-  /// Processes one arriving message; returns true if the sender had a
-  /// buffer pre-allocated (fast path).
-  bool on_message(std::int64_t sender);
-
-  [[nodiscard]] const BufferPolicyReport& report() const noexcept { return report_; }
-  [[nodiscard]] std::size_t resident_buffers() const noexcept {
-    return policy_.resident_buffers(0);
-  }
-
- private:
-  adaptive::AdaptivePolicy policy_;
-  BufferPolicyReport report_;
-};
 
 }  // namespace mpipred::scale

@@ -8,14 +8,6 @@
 
 namespace mpipred::scale {
 
-namespace {
-
-[[nodiscard]] std::int64_t round_up(std::int64_t bytes, std::int64_t granule) noexcept {
-  return (bytes + granule - 1) / granule * granule;
-}
-
-}  // namespace
-
 CreditComparison compare_credit_policies(std::span<const std::int64_t> senders,
                                          std::span<const std::int64_t> sizes,
                                          const CreditFlowConfig& cfg) {
@@ -33,7 +25,7 @@ CreditComparison compare_credit_policies(std::span<const std::int64_t> senders,
   out.eager_everything.credit_hits = n;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     out.eager_everything.total_latency_ns += cfg.latency.direct_ns(sizes[i]);
-    out.eager_everything.peak_pledged_bytes += round_up(sizes[i], cfg.granule_bytes);
+    out.eager_everything.peak_pledged_bytes += adaptive::round_up(sizes[i], cfg.granule_bytes);
   }
 
   // Always ask: bounded memory (one message at a time), 3x latency.
@@ -43,51 +35,40 @@ CreditComparison compare_credit_policies(std::span<const std::int64_t> senders,
   std::int64_t max_granule = 0;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     out.always_ask.total_latency_ns += cfg.latency.handshake_ns(sizes[i]);
-    max_granule = std::max(max_granule, round_up(sizes[i], cfg.granule_bytes));
+    max_granule = std::max(max_granule, adaptive::round_up(sizes[i], cfg.granule_bytes));
   }
   out.always_ask.peak_pledged_bytes = max_granule;
 
   // Predicted credits, planned per stream through the engine: each known
   // (source -> receiver) flow with a predicted next size holds one credit
-  // covering that size. An arrival consumes a matching credit (sender
-  // matches and granted bytes cover the actual size); the plan is
-  // refreshed after the arrival is learned.
-  out.predicted_credits.policy = "predicted-credits";
-  out.predicted_credits.messages = n;
-  adaptive::AdaptivePolicy policy(adaptive::ServiceConfig{.engine = cfg.engine},
-                                  adaptive::PolicyConfig{.credit_granule_bytes =
-                                                             cfg.granule_bytes});
+  // covering that size. replay() has already learned an arrival when it
+  // visits, so the view keeps the plan the previous visit read: charge
+  // its pledge, check the arrival against it, then re-read the plan.
+  CreditFlowReport& predicted = out.predicted_credits;
+  predicted.policy = "predicted-credits";
+  predicted.messages = n;
+  adaptive::AdaptivePolicy policy(
+      adaptive::ServiceConfig{.engine = cfg.engine},
+      adaptive::PolicyConfig{.credit_granule_bytes = cfg.granule_bytes});
   std::vector<adaptive::Credit> credits;
-  for (std::size_t i = 0; i < senders.size(); ++i) {
-    // Account the current pledge.
+  const auto account = [&](const engine::Event& event, adaptive::Protocol, bool) {
     std::int64_t pledged = 0;
     for (const adaptive::Credit& c : credits) {
       pledged += c.bytes;
     }
-    out.predicted_credits.peak_pledged_bytes =
-        std::max(out.predicted_credits.peak_pledged_bytes, pledged);
-
-    // Try to consume a credit for this arrival.
-    const auto it =
-        std::find_if(credits.begin(), credits.end(), [&](const adaptive::Credit& c) {
-          return c.sender == senders[i] && c.bytes >= sizes[i];
-        });
-    if (it != credits.end()) {
-      ++out.predicted_credits.credit_hits;
-      out.predicted_credits.total_latency_ns += cfg.latency.direct_ns(sizes[i]);
-      credits.erase(it);
+    predicted.peak_pledged_bytes = std::max(predicted.peak_pledged_bytes, pledged);
+    if (std::any_of(credits.begin(), credits.end(), [&](const adaptive::Credit& c) {
+          return c.covers(event.source, event.bytes);
+        })) {
+      ++predicted.credit_hits;
+      predicted.total_latency_ns += cfg.latency.direct_ns(event.bytes);
     } else {
-      ++out.predicted_credits.credit_misses;
-      out.predicted_credits.total_latency_ns += cfg.latency.handshake_ns(sizes[i]);
+      ++predicted.credit_misses;
+      predicted.total_latency_ns += cfg.latency.handshake_ns(event.bytes);
     }
-
-    // Learn, then re-issue credits for the refreshed per-stream plan.
-    policy.service().observe({.source = static_cast<std::int32_t>(senders[i]),
-                              .destination = 0,
-                              .tag = 0,
-                              .bytes = sizes[i]});
     credits = policy.credit_plan(0);
-  }
+  };
+  adaptive::replay(policy, receiver_events(senders, sizes), account);
   return out;
 }
 

@@ -48,7 +48,8 @@ struct CreditFlowConfig {
   engine::EngineConfig engine{};
   LatencyModel latency{};
   /// A granted credit reserves the predicted size rounded up to this
-  /// granule (buffers come from a pool of fixed-size slots).
+  /// granule (buffers come from a pool of fixed-size slots); <= 0 reserves
+  /// the exact size.
   std::int64_t granule_bytes = 1024;
 };
 

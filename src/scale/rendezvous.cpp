@@ -13,24 +13,20 @@ RendezvousReport evaluate_rendezvous_elision(std::span<const std::int64_t> sende
   adaptive::AdaptivePolicy policy(
       adaptive::ServiceConfig{.engine = cfg.engine},
       adaptive::PolicyConfig{.rendezvous_threshold_bytes = cfg.threshold_bytes});
-
-  for (std::size_t i = 0; i < senders.size(); ++i) {
-    const engine::Event event{.source = static_cast<std::int32_t>(senders[i]),
-                              .destination = 0,
-                              .tag = 0,
-                              .bytes = sizes[i]};
-    if (sizes[i] > cfg.threshold_bytes) {
-      ++report.long_messages;
-      report.baseline_latency_ns += cfg.latency.handshake_ns(sizes[i]);
-      if (policy.choose_protocol(event) == adaptive::Protocol::ElidedRendezvous) {
-        ++report.elided;
-        report.predicted_latency_ns += cfg.latency.direct_ns(sizes[i]);
-      } else {
-        report.predicted_latency_ns += cfg.latency.handshake_ns(sizes[i]);
-      }
+  const auto account = [&](const engine::Event& event, adaptive::Protocol protocol, bool) {
+    if (protocol == adaptive::Protocol::Eager) {
+      return;
     }
-    policy.service().observe(event);
-  }
+    ++report.long_messages;
+    report.baseline_latency_ns += cfg.latency.handshake_ns(event.bytes);
+    if (protocol == adaptive::Protocol::ElidedRendezvous) {
+      ++report.elided;
+      report.predicted_latency_ns += cfg.latency.direct_ns(event.bytes);
+    } else {
+      report.predicted_latency_ns += cfg.latency.handshake_ns(event.bytes);
+    }
+  };
+  adaptive::replay(policy, receiver_events(senders, sizes), account);
   return report;
 }
 

@@ -1,8 +1,29 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
+
+#include "engine/config.hpp"
 
 namespace mpipred::scale {
+
+/// One receiver's physical stream as the events the what-ifs replay
+/// through adaptive::replay: every message arrives at destination 0 and
+/// carries `sizes[i]` bytes (zero when `sizes` is empty — senders alone
+/// drive the buffer mechanism).
+[[nodiscard]] inline std::vector<engine::Event> receiver_events(
+    std::span<const std::int64_t> senders, std::span<const std::int64_t> sizes = {}) {
+  std::vector<engine::Event> out;
+  out.reserve(senders.size());
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    out.push_back({.source = static_cast<std::int32_t>(senders[i]),
+                   .destination = 0,
+                   .tag = 0,
+                   .bytes = sizes.empty() ? 0 : sizes[i]});
+  }
+  return out;
+}
 
 /// Simple first-order latency model for the trace-driven what-if analyses:
 /// a message that can go out directly costs one latency plus its

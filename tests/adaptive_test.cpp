@@ -143,6 +143,19 @@ TEST(AdaptivePolicy, AdversarialStreamFallsBackGracefully) {
   }
 }
 
+TEST(AdaptivePolicy, ReportsResidencyOnCycle) {
+  // One receiver hearing a {1, 2, 3} cycle keeps a buffer per sender
+  // resident and hits its plan on nearly every arrival.
+  ServiceConfig service;
+  service.engine.options.horizon = 8;
+  AdaptivePolicy policy(service, PolicyConfig{.lru_keep = 3});
+  for (const auto& e : periodic_arrivals({1, 2, 3}, {}, 100)) {
+    policy.on_arrival(e);
+  }
+  EXPECT_GE(policy.resident_buffers(0), 3u);
+  EXPECT_GT(policy.stats().hit_rate(), 0.8);
+}
+
 TEST(AdaptivePolicy, StatsAreIdenticalAcrossShardCounts) {
   // Mixed periodic + noise feed; every counter must match the sequential
   // engine exactly, whatever the shard count.

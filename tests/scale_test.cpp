@@ -71,15 +71,6 @@ TEST(BufferManager, LatencyModelOrdersPolicies) {
   EXPECT_LT(mid, slow);
 }
 
-TEST(BufferManager, OnlineObjectReportsResidency) {
-  PredictiveBufferManager mgr;
-  for (const auto s : cycle({1, 2, 3}, 100)) {
-    mgr.on_message(s);
-  }
-  EXPECT_GE(mgr.resident_buffers(), 3u);
-  EXPECT_GT(mgr.report().hit_rate(), 0.8);
-}
-
 // ------------------------------------------------------ credit flow §2.2 --
 
 TEST(CreditFlow, PredictableStreamGetsCreditsAndBoundedMemory) {
@@ -121,6 +112,20 @@ TEST(CreditFlow, UnpredictableStreamDegradesToAsking) {
   EXPECT_LT(cmp.predicted_credits.hit_rate(), 0.5);
   // Still correct accounting.
   EXPECT_EQ(cmp.predicted_credits.credit_hits + cmp.predicted_credits.credit_misses, 400);
+}
+
+TEST(CreditFlow, ZeroGranuleMeansNoRounding) {
+  // A granule of 0 reserves exact sizes: the pledges are the raw byte
+  // counts, and the per-stream credits still cover a periodic stream.
+  const auto senders = cycle({1, 2}, 600);
+  const auto sizes = cycle({100, 9000}, 600);
+  CreditFlowConfig cfg;
+  cfg.granule_bytes = 0;
+  const auto cmp = compare_credit_policies(senders, sizes, cfg);
+  EXPECT_EQ(cmp.eager_everything.peak_pledged_bytes, 300 * (100 + 9000));
+  EXPECT_EQ(cmp.always_ask.peak_pledged_bytes, 9000);
+  EXPECT_EQ(cmp.predicted_credits.peak_pledged_bytes, 100 + 9000);
+  EXPECT_GT(cmp.predicted_credits.hit_rate(), 0.9);
 }
 
 TEST(CreditFlow, MismatchedStreamsThrow) {
