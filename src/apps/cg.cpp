@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <vector>
@@ -127,23 +128,27 @@ AppOutcome run_cg(mpi::World& world, const AppConfig& cfg) {
     // chunk via row summation + transpose exchange.
     std::vector<double> qv(static_cast<std::size_t>(cs));
     const auto matvec = [&](std::span<const double> v, std::span<double> result) {
-      // Local block: rows R_i x cols C_j of the banded matrix.
-      for (int r = 0; r < rs; ++r) {
-        const int gr = row_base + r;
-        double acc = 0.0;
-        const int gc0 = gr - col_base;
-        if (gc0 >= 0 && gc0 < cs) {
-          acc += kDiag * v[static_cast<std::size_t>(gc0)];
+      // Local block: rows R_i x cols C_j of the banded matrix, one band at a
+      // time over the rows it reaches in C_j. Each row sums its terms from
+      // 0.0 in the order diagonal, -1, +1, -7, +7, ...; the checksums depend
+      // on that order.
+      std::fill(wbuf.begin(), wbuf.end(), 0.0);
+      const auto add_band = [&](int shift, double coef) {
+        // Row r reads global column row_base + r + shift, which must lie in
+        // [0, na) and in [col_base, col_base + cs).
+        const int lo = std::max({0, col_base - row_base - shift, -row_base - shift});
+        const int hi =
+            std::min({rs, col_base + cs - row_base - shift, params.na - row_base - shift});
+        const int to_local_col = row_base + shift - col_base;
+        for (int r = lo; r < hi; ++r) {
+          wbuf[static_cast<std::size_t>(r)] +=
+              coef * v[static_cast<std::size_t>(r + to_local_col)];
         }
-        for (const int off : kOffsets) {
-          for (const int sgn : {-1, 1}) {
-            const int gc = gr + sgn * off - col_base;
-            if (gc >= 0 && gc < cs && gr + sgn * off >= 0 && gr + sgn * off < params.na) {
-              acc += kOff * v[static_cast<std::size_t>(gc)];
-            }
-          }
-        }
-        wbuf[static_cast<std::size_t>(r)] = acc;
+      };
+      add_band(0, kDiag);
+      for (const int off : kOffsets) {
+        add_band(-off, kOff);
+        add_band(off, kOff);
       }
       comm.compute(sim::SimTime{static_cast<std::int64_t>(rs) * 100});
 

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <exception>
 #include <sstream>
 #include <utility>
 
@@ -166,14 +167,26 @@ void Engine::run(const std::function<void(Rank&)>& rank_main) {
     schedule(SimTime{0}, [this, r] { resume_rank(r); });
   }
 
-  while (!events_.empty()) {
-    // std::priority_queue exposes only a const top(); moving out right
-    // before pop() is safe because pop() never reads the moved-from cb.
-    Event ev = std::move(const_cast<Event&>(events_.top()));
-    events_.pop();
-    now_ = ev.when;
-    ++stats_.events_processed;
-    ev.cb();
+  // A rank body or event handler that throws ends the run; the other
+  // ranks are unwound (outside the handler, so no exception is being
+  // handled while their stacks unwind) before the exception is rethrown.
+  std::exception_ptr failure;
+  try {
+    while (!events_.empty()) {
+      // std::priority_queue exposes only a const top(); moving out right
+      // before pop() is safe because pop() never reads the moved-from cb.
+      Event ev = std::move(const_cast<Event&>(events_.top()));
+      events_.pop();
+      now_ = ev.when;
+      ++stats_.events_processed;
+      ev.cb();
+    }
+  } catch (...) {
+    failure = std::current_exception();
+  }
+  if (failure) {
+    unwind_ranks();
+    std::rethrow_exception(failure);
   }
 
   stats_.final_time = now_;
@@ -189,10 +202,22 @@ void Engine::run(const std::function<void(Rank&)>& rank_main) {
 
   for (const auto& fiber : fibers_) {
     if (!fiber->finished()) {
-      throw DeadlockError("simulation ran out of events with unfinished ranks:" +
-                          describe_blocked_ranks());
+      DeadlockError deadlock("simulation ran out of events with unfinished ranks:" +
+                             describe_blocked_ranks());
+      unwind_ranks();
+      throw deadlock;
     }
   }
+}
+
+void Engine::unwind_ranks() {
+  // Every object the ranks' frames own is destroyed here, while whatever
+  // they point into (the engine, the MPI endpoints) is still alive.
+  for (int r = 0; r < nranks(); ++r) {
+    current_rank_ = r;
+    fibers_[static_cast<std::size_t>(r)]->unwind();
+  }
+  current_rank_ = -1;
 }
 
 }  // namespace mpipred::sim

@@ -93,7 +93,8 @@ class Engine {
   /// Runs `rank_main` once per rank (as that rank's fiber body) until every
   /// rank finishes. Throws DeadlockError if no event can make progress
   /// while some rank is still blocked; rethrows the first exception that
-  /// escapes any rank body.
+  /// escapes any rank body. Before either, the ranks still suspended are
+  /// unwound (Fiber::unwind), so what their frames own is destroyed.
   void run(const std::function<void(Rank&)>& rank_main);
 
   /// Current simulated time. Valid during and after run().
@@ -137,6 +138,8 @@ class Engine {
   };
 
   void resume_rank(int r);
+  /// Unwinds every rank fiber still suspended, after an aborted run.
+  void unwind_ranks();
   [[nodiscard]] std::string describe_blocked_ranks() const;
 
   EngineConfig cfg_;

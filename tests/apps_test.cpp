@@ -178,6 +178,26 @@ TEST(CgShape, ResidualDropsAtScale) {
   }
 }
 
+TEST(CgShape, RectangularGridsMatchReference) {
+  // npcols = 2 * nprows on 8 and 32 ranks, so most blocks lie off the band:
+  // pins the host matvec's edge handling bit for bit.
+  struct Reference {
+    int p;
+    std::uint64_t checksum;
+    double final_residual;
+  };
+  for (const Reference& ref : {Reference{8, 0x6a8ff4d59b08b06a, 0x1.83db3c8481454p-69},
+                               Reference{32, 0xc14c5c5c623c96a3, 0x1.83db3c815a532p-69}}) {
+    mpi::World world(ref.p);
+    const auto out = run_cg(world, AppConfig{.problem_class = ProblemClass::S});
+    EXPECT_TRUE(out.verified) << "p=" << ref.p;
+    EXPECT_EQ(out.combined_checksum(), ref.checksum)
+        << "p=" << ref.p << " checksum 0x" << std::hex << out.combined_checksum();
+    EXPECT_EQ(out.metric, ref.final_residual)
+        << "p=" << ref.p << " final residual " << std::hexfloat << out.metric;
+  }
+}
+
 TEST(LuShape, TwoFrequentSendersForEdgeRanks) {
   mpi::World world(4);
   (void)run_lu(world, AppConfig{.problem_class = ProblemClass::Toy});

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <functional>
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -16,6 +21,18 @@ namespace mpipred::sim {
 namespace {
 
 // ---------------------------------------------------------------- fibers --
+
+/// Runs `fn` when destroyed: stands for whatever a fiber's frames own.
+class OnDestroy {
+ public:
+  explicit OnDestroy(std::function<void()> fn) : fn_(std::move(fn)) {}
+  OnDestroy(const OnDestroy&) = delete;
+  OnDestroy& operator=(const OnDestroy&) = delete;
+  ~OnDestroy() { fn_(); }
+
+ private:
+  std::function<void()> fn_;
+};
 
 TEST(Fiber, RunsBodyOnResume) {
   int calls = 0;
@@ -84,6 +101,67 @@ TEST(Fiber, DestroyUnfinishedFiberIsSafe) {
   f.reset();  // fiber never finished; must not crash or leak
 }
 
+TEST(Fiber, UnwindRunsDestructorsOnItsStack) {
+  int destroyed = 0;
+  bool ran_past_yield = false;
+  Fiber f([&] {
+    const OnDestroy outer([&] { ++destroyed; });
+    [&] {
+      const OnDestroy inner([&] { ++destroyed; });
+      Fiber::yield();
+    }();
+    ran_past_yield = true;
+  });
+  f.resume();
+  EXPECT_EQ(destroyed, 0);
+  f.unwind();
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_FALSE(ran_past_yield);
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(Fiber::current(), nullptr);
+  EXPECT_THROW(f.resume(), UsageError);
+}
+
+TEST(Fiber, UnwindFinishesBodiesThatCatchAndLeavesIdleFibersAlone) {
+  // A body that swallows the unwinding cannot suspend again: its next
+  // yield() throws too.
+  int yields_returned = 0;
+  Fiber swallows([&] {
+    try {
+      Fiber::yield();
+      ++yields_returned;
+    } catch (...) {
+    }
+    Fiber::yield();
+    ++yields_returned;
+  });
+  swallows.resume();
+  EXPECT_NO_THROW(swallows.unwind());
+  EXPECT_TRUE(swallows.finished());
+  EXPECT_EQ(yields_returned, 0);
+
+  // What the body throws while unwinding is dropped.
+  Fiber rethrows([] {
+    try {
+      Fiber::yield();
+    } catch (...) {
+      throw std::runtime_error("thrown while unwinding");
+    }
+  });
+  rethrows.resume();
+  EXPECT_NO_THROW(rethrows.unwind());
+  EXPECT_TRUE(rethrows.finished());
+
+  bool ran = false;
+  Fiber never_started([&] { ran = true; });
+  never_started.unwind();
+  EXPECT_FALSE(ran);
+  EXPECT_FALSE(never_started.finished());
+  never_started.resume();
+  EXPECT_TRUE(ran);
+  EXPECT_NO_THROW(never_started.unwind());
+}
+
 TEST(Fiber, NestedFibersResumeEachOther) {
   // Scheduler-level interleaving of two fibers.
   std::vector<int> order;
@@ -103,6 +181,151 @@ TEST(Fiber, NestedFibersResumeEachOther) {
   a.resume();
   b.resume();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+// 1/3 under the rounding mode in force; volatile so it is computed here.
+double third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  volatile double q = one / three;
+  return q;
+}
+
+TEST(Fiber, RoundingModeStaysWithItsFiber) {
+  const double nearest = third();
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  double up_seen = 0.0;
+  double down_seen = 0.0;
+  Fiber up([&] {
+    std::fesetround(FE_UPWARD);
+    for (int i = 0; i < 3; ++i) {
+      Fiber::yield();
+      EXPECT_EQ(std::fegetround(), FE_UPWARD);
+    }
+    up_seen = third();
+  });
+  Fiber down([&] {
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);  // not the other fiber's mode
+    std::fesetround(FE_DOWNWARD);
+    for (int i = 0; i < 3; ++i) {
+      Fiber::yield();
+      EXPECT_EQ(std::fegetround(), FE_DOWNWARD);
+    }
+    down_seen = third();
+  });
+  while (!up.finished() || !down.finished()) {
+    if (!up.finished()) {
+      up.resume();
+      EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+      EXPECT_EQ(third(), nearest);
+    }
+    if (!down.finished()) {
+      down.resume();
+      EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    }
+  }
+  EXPECT_GT(up_seen, down_seen);
+  EXPECT_TRUE(up_seen == nearest || down_seen == nearest);
+}
+
+// Keeps eight values live across a yield at every level, so they sit in
+// callee-saved registers or in this frame while other code runs.
+std::uint64_t deep_mix(int depth, std::uint64_t seed, bool yield) {
+  const std::uint64_t a = seed * 0x9E3779B97F4A7C15ULL;
+  const std::uint64_t b = a ^ (a >> 29);
+  const std::uint64_t c = b * 0xBF58476D1CE4E5B9ULL;
+  const std::uint64_t d = c ^ (c >> 31);
+  const std::uint64_t e = d + static_cast<std::uint64_t>(depth);
+  const double f = static_cast<double>(e % 1000) * 0.5;
+  const double g = f * f + 1.0;
+  const std::uint64_t h = a + b + c;
+  if (yield) {
+    Fiber::yield();
+  }
+  const std::uint64_t below = depth == 0 ? 0 : deep_mix(depth - 1, e, yield);
+  if (yield) {
+    Fiber::yield();
+  }
+  return below * 31 + (a ^ b) + (c ^ d) + e + static_cast<std::uint64_t>(f + g) + h;
+}
+
+TEST(Fiber, ValuesLiveAcrossYieldsSurviveDeepRecursion) {
+  constexpr int kDepth = 300;
+  std::uint64_t got_a = 0;
+  std::uint64_t got_b = 0;
+  Fiber a([&] { got_a = deep_mix(kDepth, 1, true); });
+  Fiber b([&] { got_b = deep_mix(kDepth, 2, true); });
+  while (!a.finished() || !b.finished()) {
+    if (!a.finished()) {
+      a.resume();
+    }
+    if (!b.finished()) {
+      b.resume();
+    }
+  }
+  EXPECT_EQ(got_a, deep_mix(kDepth, 1, false));
+  EXPECT_EQ(got_b, deep_mix(kDepth, 2, false));
+}
+
+void throw_at_depth(int depth) {
+  Fiber::yield();
+  if (depth == 0) {
+    throw std::runtime_error("deep");
+  }
+  throw_at_depth(depth - 1);
+}
+
+TEST(Fiber, ExceptionAfterYieldsFromDeepFrameReachesResume) {
+  Fiber f([] { throw_at_depth(40); });
+  for (int i = 0; i <= 40; ++i) {
+    f.resume();
+    ASSERT_FALSE(f.finished());
+  }
+  try {
+    f.resume();
+    FAIL() << "resume() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "deep");
+  }
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+TEST(Fiber, InterleavedFibersMatchSerialReference) {
+  constexpr int kSteps = 60'000;  // 240k switches over both fibers
+  const auto step = [](std::uint64_t x, int i) {
+    return (x ^ static_cast<std::uint64_t>(i)) * 0x100000001B3ULL + 0xCBF29CE484222325ULL;
+  };
+  std::uint64_t want_a = 1;
+  std::uint64_t want_b = 2;
+  for (int i = 0; i < kSteps; ++i) {
+    want_a = step(want_a, i);
+    want_b = step(want_b, -i);
+  }
+  std::uint64_t got_a = 1;
+  std::uint64_t got_b = 2;
+  Fiber a([&] {
+    std::uint64_t x = got_a;
+    for (int i = 0; i < kSteps; ++i) {
+      x = step(x, i);
+      Fiber::yield();
+    }
+    got_a = x;
+  });
+  Fiber b([&] {
+    std::uint64_t x = got_b;
+    for (int i = 0; i < kSteps; ++i) {
+      x = step(x, -i);
+      Fiber::yield();
+    }
+    got_b = x;
+  });
+  while (!a.finished() || !b.finished()) {
+    a.resume();
+    b.resume();
+  }
+  EXPECT_EQ(got_a, want_a);
+  EXPECT_EQ(got_b, want_b);
 }
 
 // ------------------------------------------------------------------- rng --
@@ -357,6 +580,34 @@ TEST(Engine, RankExceptionPropagates) {
                  }
                }),
                std::logic_error);
+}
+
+TEST(Engine, AbortedRunUnwindsBlockedRanks) {
+  // A rank that throws and a deadlock both end the run; the ranks still
+  // blocked are unwound, each as the current rank, before run() throws.
+  for (const bool deadlock : {false, true}) {
+    SCOPED_TRACE(deadlock ? "deadlock" : "rank exception");
+    Engine eng(3);
+    std::vector<int> unwound;  // current_rank() as each rank's frame died
+    auto body = [&](Rank& r) {
+      const OnDestroy record([&] { unwound.push_back(eng.current_rank()); });
+      if (r.id() != 2) {
+        r.block("never unblocked");
+        return;
+      }
+      r.compute_exact(SimTime{10});
+      if (!deadlock) {
+        throw std::logic_error("rank failure");
+      }
+    };
+    if (deadlock) {
+      EXPECT_THROW(eng.run(body), DeadlockError);
+    } else {
+      EXPECT_THROW(eng.run(body), std::logic_error);
+    }
+    EXPECT_EQ(unwound, (std::vector<int>{2, 0, 1}));
+    EXPECT_EQ(eng.current_rank(), -1);
+  }
 }
 
 TEST(Engine, ComputeJitterChangesDurations) {
