@@ -32,7 +32,7 @@ core::AccuracyReport eval_family(const std::string& name, const engine::Predicto
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const std::string predictor = bench::predictor_flag(argc, argv);
 
   // Effectively disable the hysteresis fallback: one mismatch drains any
@@ -69,4 +69,9 @@ int main(int argc, char** argv) {
   std::printf("\n(expected with the default dpd column: all three agree on logical streams;\n"
               " on physical streams hysteretic production > strict runs > full-window d(m))\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(
+      argc, argv, "usage: bench_ablation [--predictor <name>] [--list-predictors]\n", run);
 }

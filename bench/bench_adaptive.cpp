@@ -15,10 +15,11 @@
 // trace instead: the file is streamed through src/ingest/ (batched parse,
 // optional `--window` slice and `--remap-ranks` rank fold), its physical
 // arrival stream replayed through the same adaptive policy at every sweep
-// shard count (byte-identical summaries enforced), scored against the
-// static per-peer allocation and the same-budget LRU yardstick, and the
-// streamed-ingest + CSV round-trip gates are run on the input. Exit 2 on
-// any mismatch.
+// shard count (byte-identical summaries enforced), and scored against the
+// static per-peer allocation and the same-budget LRU yardstick. The input
+// passes the gates of bench/trace_gates.hpp (streamed == materialized
+// events, engine invariance across shards and batch sizes, session ==
+// reference report, write_csv round trip). Exit 2 on any mismatch.
 //
 // `--emit-metrics <file>` writes a final metrics snapshot as JSON and
 // `--emit-trace-events <file>` records Chrome trace-event JSON. In
@@ -35,17 +36,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "bench/trace_gates.hpp"
 #include "ingest/replay.hpp"
-#include "ingest/source.hpp"
-#include "ingest/streaming.hpp"
-#include "ingest/transform.hpp"
-#include "ingest/verify.hpp"
 #include "scale/buffer_manager.hpp"
 #include "serve/server.hpp"
 
@@ -92,63 +88,35 @@ std::string format_report(const AdaptiveRun& run) {
   return buf;
 }
 
-/// Wrapper-vs-session gate: the same arrival stream fed to a standalone
-/// PredictionEngine and to a resident PredictionServer session must
-/// produce byte-identical reports — the serve layer may never change a
-/// number this bench (or the adaptive loop it models) depends on.
-bool serve_matches_engine(std::span<const engine::Event> events,
-                          const engine::EngineConfig& cfg) {
-  engine::PredictionEngine eng(cfg);
-  eng.observe_all(events);
-  serve::PredictionServer server({.engine = cfg});
-  const auto session = server.open_session();
-  session->observe_all(events);
-  return session->report() == eng.report();
-}
-
 /// `--trace` mode: the static-vs-adaptive comparison over an ingested
 /// external trace. The simulator cannot be re-run from a trace, so the
 /// static side is the analytic per-peer allocation (nranks-1 buffers,
 /// every arrival a hit) and the adaptive side replays the policy over the
 /// arrival stream — the identical decision code the live endpoint drives.
-int run_trace_mode(const std::string& path, const std::string& predictor, std::size_t shards,
+int run_trace_mode(const std::string& predictor, std::size_t shards,
                    const bench::TraceFlags& flags, const bench::TelemetryFlags& telem_flags) {
-  const auto source = bench::open_trace_or_exit(path);
+  const auto source = bench::open_trace_or_exit(flags.path);
   // Physical (arrival order) when the format records it — the level the
   // live adaptive loop feeds on. The arrival sequence comes through the
-  // streamed default path: incremental reader, then the window/remap
-  // transform chain, drained (the policy needs the whole sequence).
-  const trace::Level level = source->levels().back();
-  std::vector<engine::Event> events;
-  int nranks = source->nranks();
-  std::string transform_lines;
-  try {
-    auto chain =
-        ingest::apply_transforms(ingest::open_event_stream(path, level), flags.transforms);
-    events = ingest::strip_times(ingest::drain(*chain.stream, flags.batch_events));
-    if (chain.window != nullptr) {
-      transform_lines += "  " + chain.window->summary() + "\n";
-    }
-    if (chain.remap != nullptr) {
-      // A remap that dropped every event reports 0 new ranks; clamp so the
-      // static per-peer baseline below stays non-negative.
-      nranks = std::max(1, chain.remap->report().nranks());
-      transform_lines += "  remap " + chain.remap->config().to_string() + ": " +
-                         chain.remap->report().summary() + "\n";
-    }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
+  // streamed default path (incremental reader, then the window/remap
+  // transform chain) and the gates; the policy needs the whole sequence.
+  const engine::EngineConfig gate_cfg{.predictor = predictor, .shards = shards};
+  serve::PredictionServer server({.engine = gate_cfg});
+  const bench::TraceReplay replay = bench::replay_trace_or_exit(*source, flags, server, gate_cfg);
+  const bench::TraceLevel& arrivals = replay.levels.back();
+  const std::vector<engine::Event>& events = arrivals.events;
+  // A remap that dropped every event reports 0 new ranks; clamp so the
+  // static per-peer baseline below stays non-negative.
+  const int nranks = std::max(1, arrivals.nranks);
   const auto sweep = bench::gate_shard_sweep(shards);
 
   std::printf("§2 closed loop — static per-peer library vs adaptive replay of %s\n",
-              path.c_str());
+              flags.path.c_str());
   std::printf("(format %s, %d ranks, %zu %s-level arrivals, predictor %s; replay repeated at\n"
               " engine shards {1,2,4}; summaries must match byte-for-byte)\n",
               std::string(source->format()).c_str(), nranks, events.size(),
-              std::string(to_string(level)).c_str(), predictor.c_str());
-  std::printf("%s\n", transform_lines.c_str());
+              std::string(to_string(arrivals.level)).c_str(), predictor.c_str());
+  std::printf("%s\n", arrivals.transform_lines.c_str());
 
   adaptive::RuntimeConfig rt;
   rt.service.engine.predictor = predictor;
@@ -166,11 +134,9 @@ int run_trace_mode(const std::string& path, const std::string& predictor, std::s
     if (!telem_flags.trace_path.empty()) {
       telem.enable_tracing();
     }
-    const ingest::AdaptiveReplay instrumented = ingest::replay_adaptive(events, rt, &telem);
-    if (instrumented.summary() != swept.replay.summary()) {
-      std::fprintf(stderr, "telemetry gate FAILED: instrumented replay differs\n  ref : %s\n"
-                           "  got : %s\n",
-                   swept.replay.summary().c_str(), instrumented.summary().c_str());
+    const auto gate = bench::verify_adaptive_telemetry(events, rt, swept.replay, telem);
+    if (!gate.ok) {
+      std::fprintf(stderr, "%s FAILED\n", gate.detail.c_str());
       telemetry_ok = false;
     }
     bench::write_telemetry_or_exit(telem_flags, telem);
@@ -210,50 +176,20 @@ int run_trace_mode(const std::string& path, const std::string& predictor, std::s
               bench::pct(adaptive.stats.elision_rate()));
   std::printf("  deterministic across shards: %s\n", swept.deterministic ? "yes" : "NO");
 
-  bool gate_ok = true;
-  const engine::EngineConfig gate_cfg{.predictor = predictor};
-  if (!serve_matches_engine(events, gate_cfg)) {
-    std::fprintf(stderr, "serve gate FAILED: session report differs from the engine's over "
-                         "the arrival stream\n");
-    gate_ok = false;
-  }
-  const auto streamed =
-      ingest::verify_streamed_source(path, *source, flags.transforms, gate_cfg, sweep);
-  if (!streamed.ok) {
-    std::fprintf(stderr, "streamed-ingest gate FAILED: %s\n", streamed.detail.c_str());
-    gate_ok = false;
-  }
-  if (const trace::TraceStore* store = source->store()) {
-    const auto gate = ingest::verify_csv_round_trip(*store, gate_cfg, sweep);
-    if (!gate.ok) {
-      std::fprintf(stderr, "round-trip gate FAILED: %s\n", gate.detail.c_str());
-      gate_ok = false;
-    }
-  }
-  if (gate_ok) {
-    std::printf("  gates: ok (session == engine wrapper; streamed == materialized across "
-                "shards and batch sizes; write_csv round trip byte-identical)\n");
-  }
-  return swept.deterministic && gate_ok && telemetry_ok ? 0 : 2;
+  std::printf("  gates: ok (%s)\n", bench::kTraceGatesSummary);
+  return swept.deterministic && telemetry_ok ? 0 : 2;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   auto arg = engine::predictor_arg_or_exit(argc, argv);
   const std::size_t shards = bench::shards_flag(arg.rest, /*fallback=*/1);
   const bench::TraceFlags trace_flags = bench::trace_flags_or_exit(arg.rest);
   const bench::TelemetryFlags telem_flags = bench::telemetry_flags(arg.rest);
+  bench::reject_arguments(arg.rest);
   if (!trace_flags.path.empty()) {
-    if (!arg.rest.empty()) {
-      std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-      return 1;
-    }
-    return run_trace_mode(trace_flags.path, arg.name, shards, trace_flags, telem_flags);
-  }
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    return 1;
+    return run_trace_mode(arg.name, shards, trace_flags, telem_flags);
   }
 
   std::vector<std::size_t> sweep{1, 2, 4};
@@ -309,12 +245,11 @@ int main(int argc, char** argv) {
         case_deterministic = false;
       }
     }
-    // Wrapper-vs-session gate over the same physical arrival stream the
-    // adaptive loop predicts on.
-    const bool serve_ok = serve_matches_engine(
-        engine::events_from_trace(baseline.world->traces(), trace::Level::Physical),
-        engine::EngineConfig{.predictor = arg.name});
-    if (!serve_ok) {
+    // Serve gate over the same physical arrival stream the adaptive loop
+    // predicts on.
+    serve::PredictionServer server({.engine = {.predictor = arg.name}});
+    if (!bench::served_report(server, baseline.world->traces(), trace::Level::Physical,
+                              {.predictor = arg.name})) {
       std::printf("%s: SERVE GATE FAILED — session report differs from the engine's\n",
                   label.c_str());
       case_deterministic = false;
@@ -387,4 +322,14 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   return deterministic ? 0 : 2;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(
+      argc, argv,
+      "usage: bench_adaptive [--predictor <name>] [--shards <n>] [--trace <file>]\n"
+      "                      [--batch-events <n>] [--window <t0>:<t1>]\n"
+      "                      [--remap-ranks <spec>] [--emit-metrics <file>]\n"
+      "                      [--emit-trace-events <file>]\n",
+      run);
 }

@@ -179,24 +179,15 @@ int default_iters(const std::string& app) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   const auto nseeds = bench::size_flag(args, "--seeds", 5);
   const int iters_flag = static_cast<int>(bench::size_flag(args, "--iters", 0));
   const auto fallback_ns =
       static_cast<std::int64_t>(bench::size_flag(args, "--fallback-ns", 20'000));
-  std::string apps_csv = bench::string_flag(args, "--apps");
-  if (apps_csv.empty()) {
-    apps_csv = "bt,cg,lu";
-  }
-  std::string out_path = bench::string_flag(args, "--out");
-  if (out_path.empty()) {
-    out_path = "BENCH_adaptive_speedup.json";
-  }
-  if (!args.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", args.front().c_str());
-    return 1;
-  }
+  const std::string apps_csv = bench::string_flag(args, "--apps", "bt,cg,lu");
+  const std::string out_path = bench::string_flag(args, "--out", "BENCH_adaptive_speedup.json");
+  bench::reject_arguments(args);
   if (nseeds == 0) {
     std::fprintf(stderr, "--seeds must be at least 1\n");
     return 1;
@@ -209,6 +200,9 @@ int main(int argc, char** argv) {
       app_list.push_back(apps_csv.substr(start, comma - start));
     }
     start = comma + 1;
+  }
+  for (const std::string& app : app_list) {
+    (void)apps::find_app(app);  // an unknown name fails here, before any world runs
   }
 
   // The nominal fallback round-trip mirrors the trace-driven replays'
@@ -381,4 +375,12 @@ int main(int argc, char** argv) {
     return fail_gate("min_confidence=1.0 did not degrade to static per-peer behavior");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(
+      argc, argv,
+      "usage: bench_adaptive_speedup [--apps bt,cg,lu] [--seeds <n>] [--iters <n>]\n"
+      "                              [--fallback-ns <n>] [--out <file>]\n",
+      run);
 }

@@ -110,18 +110,12 @@ int fail_gate(const char* what) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   const auto cost_ns = static_cast<std::int64_t>(bench::size_flag(args, "--cost-ns", 2000));
   const int iters = static_cast<int>(bench::size_flag(args, "--iters", 8));
-  std::string out_path = bench::string_flag(args, "--out");
-  if (out_path.empty()) {
-    out_path = "BENCH_async_overlap.json";
-  }
-  if (!args.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", args.front().c_str());
-    return 1;
-  }
+  const std::string out_path = bench::string_flag(args, "--out", "BENCH_async_overlap.json");
+  bench::reject_arguments(args);
 
   std::printf("async overlap: %d ranks, class S, %d iters, feed cost %lld ns/arrival\n\n",
               kProcs, iters, static_cast<long long>(cost_ns));
@@ -206,4 +200,9 @@ int main(int argc, char** argv) {
     return fail_gate("inline feed cost did not slow the run vs the async path");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(
+      argc, argv, "usage: bench_async_overlap [--cost-ns <n>] [--iters <n>] [--out <file>]\n", run);
 }

@@ -15,7 +15,8 @@
 #include "bench/bench_util.hpp"
 #include "core/evaluate.hpp"
 
-int main() {
+static int run(int argc, char** argv) {
+  mpipred::bench::reject_arguments({argv + 1, argv + argc});
   using namespace mpipred;
   std::printf("§6 — predictor comparison on logical sender streams (%% correct)\n\n");
   std::printf("%-12s %-10s", "config", "predictor");
@@ -51,4 +52,8 @@ int main() {
   }
   std::printf("(expected: dpd flat and high across +1..+5; heuristics fall off with horizon)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, "usage: bench_baselines\n", run);
 }

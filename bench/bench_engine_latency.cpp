@@ -120,19 +120,13 @@ int fail_gate(const char* what) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   auto arg = engine::predictor_arg_or_exit(argc, argv, "dpd");
   const std::size_t shards = bench::shards_flag(arg.rest, 4);
   const std::size_t nevents = bench::size_flag(arg.rest, "--events", 20000);
   const std::size_t tenants = bench::size_flag(arg.rest, "--tenants", 4);
-  std::string out_path = bench::string_flag(arg.rest, "--out");
-  if (out_path.empty()) {
-    out_path = "BENCH_engine_latency.json";
-  }
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    return 1;
-  }
+  const std::string out_path = bench::string_flag(arg.rest, "--out", "BENCH_engine_latency.json");
+  bench::reject_arguments(arg.rest);
   const std::size_t eff_shards = engine::effective_shard_count(shards);
   const auto events = synthetic_trace(nevents, 32);
 
@@ -285,4 +279,12 @@ int main(int argc, char** argv) {
     return fail_gate("persistent p99 did not beat the spawn baseline");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(
+      argc, argv,
+      "usage: bench_engine_latency [--predictor <name>] [--shards <n>] [--events <n>]\n"
+      "                            [--tenants <n>] [--out <file>]\n",
+      run);
 }

@@ -40,23 +40,13 @@ std::vector<Event> synthetic_trace(std::size_t events, std::size_t streams) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace mpipred;
-  auto arg = engine::parse_predictor_arg(argc, argv);
-  if (arg.listed) {
-    return 0;
-  }
-  if (!arg.error.empty()) {
-    std::fprintf(stderr, "%s\n", arg.error.c_str());
-    return 1;
-  }
+  auto arg = engine::predictor_arg_or_exit(argc, argv);
   const std::size_t events_n = bench::size_flag(arg.rest, "--events", 1'000'000);
   const std::size_t streams_n = bench::size_flag(arg.rest, "--streams", 100'000);
   const std::size_t fixed_shards = bench::shards_flag(arg.rest, 0);
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    return 1;
-  }
+  bench::reject_arguments(arg.rest);
   if (events_n == 0 || streams_n == 0) {
     std::fprintf(stderr, "--events and --streams must be at least 1\n");
     return 1;
@@ -110,4 +100,12 @@ int main(int argc, char** argv) {
                 " speedups need a multi-core host)\n");
   }
   return all_identical ? 0 : 2;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(
+      argc, argv,
+      "usage: bench_engine_scaling [--predictor <name>] [--events <n>] [--streams <n>]\n"
+      "                            [--shards <n>]\n",
+      run);
 }

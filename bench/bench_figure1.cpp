@@ -8,7 +8,8 @@
 #include "bench/bench_util.hpp"
 #include "core/dpd.hpp"
 
-int main() {
+static int run(int argc, char** argv) {
+  mpipred::bench::reject_arguments({argv + 1, argv + argc});
   using namespace mpipred;
   auto run = bench::run_traced("bt", 9);
   const auto streams = trace::extract_streams(run.world->traces(), 3, trace::Level::Logical,
@@ -55,4 +56,8 @@ int main() {
   }
   std::printf("}  (paper: processes 1, 2, 5, 7, 9 — five senders at 9 procs)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, "usage: bench_figure1\n", run);
 }

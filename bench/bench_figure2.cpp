@@ -8,7 +8,8 @@
 
 #include "bench/bench_util.hpp"
 
-int main() {
+static int run(int argc, char** argv) {
+  mpipred::bench::reject_arguments({argv + 1, argv + argc});
   using namespace mpipred;
   auto run = bench::run_traced("bt", 4);
   const auto logical = trace::extract_streams(run.world->traces(), 3, trace::Level::Logical,
@@ -45,4 +46,8 @@ int main() {
               diffs_total, physical.length(),
               100.0 * static_cast<double>(diffs_total) / static_cast<double>(physical.length()));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, "usage: bench_figure2\n", run);
 }

@@ -13,7 +13,7 @@
 
 #include "bench/bench_util.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace mpipred;
   const std::string predictor = bench::predictor_flag(argc, argv);
   std::printf("Figure 3 — logical-level prediction accuracy (%% correct, Class A, %s)\n\n",
@@ -31,4 +31,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(paper: >90%% everywhere, mostly ~100%%; is.4 ~80%% from its short stream)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(
+      argc, argv, "usage: bench_figure3 [--predictor <name>] [--list-predictors]\n", run);
 }

@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace mpipred;
   const std::string predictor = bench::predictor_flag(argc, argv);
   std::printf("Figure 4 — physical-level prediction accuracy (%% correct, Class A, %s)\n\n",
@@ -28,4 +28,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(paper: below logical; lu/sweep3d high, bt lower, is lowest)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(
+      argc, argv, "usage: bench_figure4 [--predictor <name>] [--list-predictors]\n", run);
 }

@@ -10,7 +10,8 @@
 #include "bench/bench_util.hpp"
 #include "scale/credit_flow.hpp"
 
-int main() {
+static int run(int argc, char** argv) {
+  mpipred::bench::reject_arguments({argv + 1, argv + argc});
   using namespace mpipred;
   std::printf("§2.2 — credit-based flow control on physical traces\n\n");
   std::printf("%-12s %-18s %10s %14s %14s\n", "config", "policy", "hit-rate%", "peak-pledged-B",
@@ -41,4 +42,8 @@ int main() {
   std::printf("(expected: predicted-credits ~eager latency with ~always-ask memory bounds\n"
               " on periodic apps; IS degrades towards always-ask)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, "usage: bench_flow_control\n", run);
 }

@@ -10,7 +10,8 @@
 #include "bench/bench_util.hpp"
 #include "scale/buffer_manager.hpp"
 
-int main() {
+static int run(int argc, char** argv) {
+  mpipred::bench::reject_arguments({argv + 1, argv + argc});
   using namespace mpipred;
   std::printf("§2.1 — buffer memory: all-pairs vs prediction-driven (physical traces)\n\n");
   std::printf("%-12s %10s %10s %10s %12s %12s %10s\n", "config", "hit-rate%", "buffers",
@@ -51,4 +52,8 @@ int main() {
                 static_cast<double>(predicted) / (1024.0 * 1024.0));
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, "usage: bench_memory_reduction\n", run);
 }

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/cli.hpp"
 #include "engine/registry.hpp"
 
 namespace {
@@ -73,7 +74,7 @@ BENCHMARK(dpd_observe_at_max_period)->Arg(64)->Arg(128)->Arg(256);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   for (const auto& name : mpipred::engine::builtin_predictor_names()) {
     benchmark::RegisterBenchmark(("observe/" + name).c_str(),
                                  [name](benchmark::State& state) {
@@ -90,4 +91,9 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(
+      argc, argv, "usage: bench_predictor_overhead [--benchmark_<flag>=<value> ...]\n", run);
 }

@@ -9,7 +9,8 @@
 #include "bench/bench_util.hpp"
 #include "scale/rendezvous.hpp"
 
-int main() {
+static int run(int argc, char** argv) {
+  mpipred::bench::reject_arguments({argv + 1, argv + argc});
   using namespace mpipred;
   std::printf("§2.3 — rendezvous elision for long messages (physical traces)\n\n");
   std::printf("%-12s %10s %10s %14s %10s\n", "config", "long-msgs", "elided%", "lat-saved-us",
@@ -40,4 +41,8 @@ int main() {
   std::printf("\n(expected: periodic large transfers — LU faces, BT faces — mostly elided;\n"
               " IS's data-dependent alltoallv sizes resist elision)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, "usage: bench_rendezvous\n", run);
 }

@@ -14,7 +14,7 @@
 #include "bench/bench_util.hpp"
 #include "core/set_prediction.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace mpipred;
   const std::string predictor = bench::predictor_flag(argc, argv);
   std::printf("§5.3 — physical level: in-order accuracy vs set (next-5 multiset) overlap\n");
@@ -51,4 +51,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(the set view should recover much of what ordering noise destroys)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(
+      argc, argv, "usage: bench_set_prediction [--predictor <name>] [--list-predictors]\n", run);
 }

@@ -36,7 +36,8 @@ const std::map<std::string, PaperRow> kPaper = {
 
 }  // namespace
 
-int main() {
+static int run(int argc, char** argv) {
+  mpipred::bench::reject_arguments({argv + 1, argv + argc});
   using namespace mpipred;
   std::printf("Table 1 — application characteristics (Class A, representative rank)\n");
   std::printf("%-12s | %9s %9s %6s %8s | %9s %9s %6s %8s\n", "app.procs", "p2p", "coll",
@@ -66,4 +67,8 @@ int main() {
   std::printf("\n(* paper values; our counts come from the simulator's Class A runs —\n"
               " magnitudes and locality structure are the reproduction target)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, "usage: bench_table1\n", run);
 }

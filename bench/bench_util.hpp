@@ -80,59 +80,17 @@ inline core::StreamEvaluation evaluate_level(mpi::World& world, trace::Level lev
 /// not silently run the default).
 inline std::string predictor_flag(int argc, char** argv, std::string fallback = "dpd") {
   const auto arg = engine::predictor_arg_or_exit(argc, argv, std::move(fallback));
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    std::exit(1);
-  }
+  reject_arguments(arg.rest);
   return arg.name;
 }
 
-/// Consumes every `<flag> <n>` / `<flag>=<n>` occurrence from `rest` (the
-/// unparsed remainder of parse_predictor_arg) and returns the last value,
-/// or `fallback` when the flag is absent. Exits on a missing or malformed
-/// number, so a typo can never silently run the default.
-inline std::size_t size_flag(std::vector<std::string>& rest, const std::string& flag,
-                             std::size_t fallback) {
-  const auto parse = [&flag](const std::string& text) -> std::size_t {
-    const auto value = parse_int<std::size_t>(text);
-    if (!value) {
-      std::fprintf(stderr, "%s requires a non-negative integer, got '%s'\n", flag.c_str(),
-                   text.c_str());
-      std::exit(1);
-    }
-    return *value;
-  };
-  std::size_t value = fallback;
-  for (auto it = rest.begin(); it != rest.end();) {
-    if (*it == flag) {
-      if (std::next(it) == rest.end()) {
-        std::fprintf(stderr, "%s requires a value\n", flag.c_str());
-        std::exit(1);
-      }
-      value = parse(*std::next(it));
-      it = rest.erase(it, std::next(it, 2));
-    } else if (it->starts_with(flag + "=")) {
-      value = parse(it->substr(flag.size() + 1));
-      it = rest.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return value;
-}
-
-/// Shared `--shards <n>` handling: engine shard count, 0 = one shard per
-/// hardware thread (the engine default).
-inline std::size_t shards_flag(std::vector<std::string>& rest, std::size_t fallback = 0) {
-  return size_flag(rest, "--shards", fallback);
-}
-
 /// Consumes every `<flag> <value>` / `<flag>=<value>` occurrence from
-/// `rest` and returns the last value, or "" when the flag is absent. Exits
-/// on a missing or empty value (a dangling `--trace` or an unset shell
-/// variable in `--trace=$FILE` must not silently run the default mode).
-inline std::string string_flag(std::vector<std::string>& rest, const std::string& flag) {
-  std::string value;
+/// `rest` and returns the last value, or `fallback` when the flag is absent.
+/// Exits on a missing or empty value (a dangling `--trace` or an unset
+/// shell variable in `--trace=$FILE` must not silently run the default).
+inline std::string string_flag(std::vector<std::string>& rest, const std::string& flag,
+                               std::string fallback = {}) {
+  std::string value = std::move(fallback);
   const auto take = [&](std::string v) {
     if (v.empty()) {
       std::fprintf(stderr, "%s requires a non-empty value\n", flag.c_str());
@@ -158,28 +116,47 @@ inline std::string string_flag(std::vector<std::string>& rest, const std::string
   return value;
 }
 
-/// The shard sweep the `--trace` round-trip gates run at: {1, 2, 4} plus
-/// the explicitly requested count when it is not already covered.
+/// Consumes every `<flag> <n>` / `<flag>=<n>` occurrence from `rest` (the
+/// unparsed remainder of parse_predictor_arg) and returns the last value,
+/// or nullopt when the flag is absent (tools use this to reject flags that
+/// only make sense in some modes instead of silently ignoring them). Exits
+/// on a missing or malformed number, so a typo can never silently run the
+/// default.
+inline std::optional<std::size_t> opt_size_flag(std::vector<std::string>& rest,
+                                                const std::string& flag) {
+  const std::string text = string_flag(rest, flag);
+  if (text.empty()) {
+    return std::nullopt;
+  }
+  const auto value = parse_int<std::size_t>(text);
+  if (!value) {
+    std::fprintf(stderr, "%s requires a non-negative integer, got '%s'\n", flag.c_str(),
+                 text.c_str());
+    std::exit(1);
+  }
+  return value;
+}
+
+/// opt_size_flag with a `fallback` for an absent flag.
+inline std::size_t size_flag(std::vector<std::string>& rest, const std::string& flag,
+                             std::size_t fallback) {
+  return opt_size_flag(rest, flag).value_or(fallback);
+}
+
+/// Shared `--shards <n>` handling: engine shard count, 0 = one shard per
+/// hardware thread (the engine default).
+inline std::size_t shards_flag(std::vector<std::string>& rest, std::size_t fallback = 0) {
+  return size_flag(rest, "--shards", fallback);
+}
+
+/// The shard counts the `--trace` gates run at: {1, 2, 4} plus the
+/// explicitly requested count when it is not already covered.
 inline std::vector<std::size_t> gate_shard_sweep(std::size_t shards) {
   std::vector<std::size_t> sweep{1, 2, 4};
   if (shards != 0 && std::find(sweep.begin(), sweep.end(), shards) == sweep.end()) {
     sweep.push_back(shards);
   }
   return sweep;
-}
-
-/// size_flag that also reports whether the flag appeared at all (tools use
-/// this to reject flags that only make sense in some modes instead of
-/// silently ignoring them).
-inline std::optional<std::size_t> opt_size_flag(std::vector<std::string>& rest,
-                                                const std::string& flag) {
-  const bool present = std::any_of(rest.begin(), rest.end(), [&flag](const std::string& a) {
-    return a == flag || a.starts_with(flag + "=");
-  });
-  if (!present) {
-    return std::nullopt;
-  }
-  return size_flag(rest, flag, 0);
 }
 
 /// Opens a trace through the format registry, printing the diagnostic and

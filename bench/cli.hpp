@@ -1,6 +1,6 @@
 #pragma once
 
-// Command-line plumbing shared by the example tools: strict integer
+// Command-line plumbing shared by the example and bench tools: strict integer
 // parsing and a main() wrapper that turns bad input into a diagnostic and
 // exit 1 instead of an uncaught exception (SIGABRT).
 
@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -36,6 +37,14 @@ template <std::integral Int>
     return *value;
   }
   throw UsageError(std::string(what) + " must be an integer, got '" + std::string(text) + "'");
+}
+
+/// Throws UsageError naming the first of `rest`, the arguments no flag
+/// consumed (for a tool without arguments: all of them).
+inline void reject_arguments(const std::vector<std::string>& rest) {
+  if (!rest.empty()) {
+    throw UsageError("unexpected argument '" + rest.front() + "'");
+  }
 }
 
 /// Runs a tool's real main. `--help` / `-h` anywhere prints `usage` to

@@ -25,10 +25,7 @@ constexpr std::string_view kUsage =
 int run(int argc, char** argv) {
   using namespace mpipred;
   const auto arg = engine::predictor_arg_or_exit(argc, argv);
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    return 1;
-  }
+  bench::reject_arguments(arg.rest);
   const std::string& predictor = arg.name;
 
   std::printf("running sweep3d.6 (Class A)...\n");

@@ -9,12 +9,13 @@
 // per level, the file parsed in pulled batches of `--batch-events` that
 // overlap the shard drain, optionally sliced to a `--window` and folded
 // onto a smaller rank space with `--remap-ranks` — and `--export-trace`
-// writes the simulated run's trace out for later replay. Both modes
-// enforce the gates — every session report must be byte-identical to the
-// single-tenant engine wrapper's over the same events, a write_csv export
-// re-ingested must produce byte-identical engine reports across shard
-// counts {1,2,4}, and the streamed path must match the materialized one
-// across batch sizes {64,4096,unbounded} — and exit 2 on any mismatch.
+// writes the simulated run's trace out for later replay. Both modes run
+// the O(events) gates of bench/trace_gates.hpp and exit 2 on any mismatch:
+// `--trace` checks streamed == materialized events, engine invariance
+// across shard counts {1,2,4} and batch sizes {64,4096,unbounded} (one
+// axis at a time), session == reference report, and the write_csv round
+// trip; `--export-trace` re-reads the file it wrote, requires the run's
+// events, and checks the same invariance on them.
 //
 // `--emit-metrics <file>` writes the run's final metrics snapshot as JSON
 // (both modes); `--emit-trace-events <file>` additionally records the
@@ -40,11 +41,8 @@
 #include "apps/app.hpp"
 #include "apps/registry.hpp"
 #include "bench/bench_util.hpp"
+#include "bench/trace_gates.hpp"
 #include "engine/engine.hpp"
-#include "ingest/source.hpp"
-#include "ingest/streaming.hpp"
-#include "ingest/transform.hpp"
-#include "ingest/verify.hpp"
 #include "mpi/world.hpp"
 #include "serve/server.hpp"
 #include "trace/csv.hpp"
@@ -111,8 +109,8 @@ int replay_trace(const std::string& path, const engine::EngineConfig& cfg,
   const trace::TraceStore* store = source->store();
 
   // The server's sessions report into this registry when `--emit-metrics`
-  // is given; the wrapper/gate engines below stay metrics-free, so the
-  // wrapper-vs-session comparison doubles as the telemetry on/off gate.
+  // is given; the gates' reference engines stay metrics-free, so the
+  // session-vs-reference serve gate doubles as the telemetry on/off gate.
   telemetry::Telemetry telem;
   engine::EngineConfig server_cfg = cfg;
   if (telem_flags.any()) {
@@ -124,90 +122,26 @@ int replay_trace(const std::string& path, const engine::EngineConfig& cfg,
   // incremental reader in pulled `--batch-events` batches through the
   // transform chain; nothing below depends on the batch size or on the
   // session-vs-engine surface (the gates prove both).
-  struct LevelRun {
-    trace::Level level{};
-    ingest::StreamedRun run;
-    std::string window_summary;
-    std::string remap_summary;
-    int nranks = 0;
-  };
   serve::PredictionServer server({.engine = server_cfg});
-  std::vector<LevelRun> runs;
-  try {
-    for (const trace::Level level : source->levels()) {
-      auto chain =
-          ingest::apply_transforms(ingest::open_event_stream(path, level), flags.transforms);
-      LevelRun lr;
-      lr.level = level;
-      const auto session = server.open_session();
-      lr.run = ingest::run_into(*chain.stream, *session, flags.batch_events);
-
-      // Wrapper-vs-session gate: the single-tenant engine over a second
-      // pass of the stream must reproduce the session's report exactly.
-      auto wrapper_chain =
-          ingest::apply_transforms(ingest::open_event_stream(path, level), flags.transforms);
-      const ingest::StreamedRun wrapper =
-          ingest::StreamingReplay{.engine = cfg, .batch_events = flags.batch_events}.run(
-              *wrapper_chain.stream);
-      if (wrapper.report != lr.run.report) {
-        std::fprintf(stderr, "serve gate FAILED: session report differs from the engine "
-                             "wrapper's at the %s level\n",
-                     std::string(to_string(level)).c_str());
-        return 2;
-      }
-      lr.nranks = source->nranks();
-      if (chain.window != nullptr) {
-        lr.window_summary = chain.window->summary();
-      }
-      if (chain.remap != nullptr) {
-        lr.remap_summary = chain.remap->config().to_string() + ": " +
-                           chain.remap->report().summary();
-        lr.nranks = chain.remap->report().nranks();
-      }
-      runs.push_back(std::move(lr));
-    }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
+  const bench::TraceReplay replay = bench::replay_trace_or_exit(*source, flags, server, cfg);
 
   const int rep = !flags.transforms.active()
                       ? (store == nullptr
                              ? -1
                              : trace::representative_rank(*store, source->levels().front()))
-                      : busiest_destination(runs.front().run.report);
+                      : busiest_destination(replay.levels.front().session.report);
   std::printf("  representative process: %d\n\n", rep);
 
-  for (const LevelRun& lr : runs) {
-    print_level_report(lr.level, lr.run.report, rep, lr.nranks, cfg.shards);
-    if (!lr.window_summary.empty()) {
-      std::printf("  %s\n", lr.window_summary.c_str());
-    }
-    if (!lr.remap_summary.empty()) {
-      std::printf("  remap %s\n", lr.remap_summary.c_str());
-    }
+  for (const bench::TraceLevel& tl : replay.levels) {
+    print_level_report(tl.level, tl.session.report, rep, tl.nranks, cfg.shards);
+    std::printf("%s", tl.transform_lines.c_str());
   }
 
-  const auto sweep = bench::gate_shard_sweep(cfg.shards);
-  const auto streamed =
-      ingest::verify_streamed_source(path, *source, flags.transforms, cfg, sweep);
-  if (!streamed.ok) {
-    std::fprintf(stderr, "streamed-ingest gate FAILED: %s\n", streamed.detail.c_str());
-    return 2;
-  }
-  if (store != nullptr) {
-    const auto gate = ingest::verify_csv_round_trip(*store, cfg, sweep);
-    if (!gate.ok) {
-      std::fprintf(stderr, "round-trip gate FAILED: %s\n", gate.detail.c_str());
-      return 2;
-    }
-    std::printf("\nround-trip gate: ok (byte-identical engine reports across shards {1,2,4} "
-                "and batch sizes {64,4096,unbounded})\n");
-  }
+  std::printf("\ngates: ok (%s)\n", bench::kTraceGatesSummary);
   if (telem_flags.any()) {
     bench::write_telemetry_or_exit(telem_flags, telem);
     std::printf("\ntelemetry: metrics snapshot -> %s (session reports matched the metrics-free "
-                "engine wrapper's byte for byte)\n",
+                "reference report byte for byte)\n",
                 telem_flags.metrics_path.c_str());
   }
   return 0;
@@ -289,30 +223,28 @@ int run(int argc, char** argv) {
   // (run_over_trace = a standalone engine) must agree byte for byte.
   serve::PredictionServer server({.engine = cfg});
   for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
-    const auto report = engine::run_over_trace(world.traces(), level, cfg);
-    const auto session = server.open_session();
-    session->observe_all(engine::events_from_trace(world.traces(), level));
-    if (session->report() != report) {
+    const auto report = bench::served_report(server, world.traces(), level, cfg);
+    if (!report) {
       std::fprintf(stderr, "serve gate FAILED: session report differs from the engine's at "
                            "the %s level\n",
                    std::string(to_string(level)).c_str());
       return 2;
     }
-    print_level_report(level, report, rank, procs, shards);
+    print_level_report(level, *report, rank, procs, shards);
   }
   std::printf("\n(the logical level is a pure function of the program; the physical level\n"
               " adds the simulated machine's random effects — compare the two blocks)\n");
 
   if (!export_path.empty()) {
     trace::write_csv_file(export_path, world.traces());
-    const auto sweep = bench::gate_shard_sweep(shards);
-    const auto gate = ingest::verify_csv_round_trip(world.traces(), cfg, sweep);
+    const auto gate = bench::verify_export(export_path, world.traces(), cfg);
     if (!gate.ok) {
-      std::fprintf(stderr, "round-trip gate FAILED after export to %s: %s\n", export_path.c_str(),
+      std::fprintf(stderr, "export gate FAILED for %s: %s\n", export_path.c_str(),
                    gate.detail.c_str());
       return 2;
     }
-    std::printf("\nexported trace to %s (round-trip gate: ok)\n", export_path.c_str());
+    std::printf("\nexported trace to %s (export gate: ok; re-read events == the run's, engine "
+                "invariance held)\n", export_path.c_str());
   }
 
   if (telem_flags.any()) {

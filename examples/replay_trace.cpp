@@ -7,11 +7,11 @@
 // runtime's decision layer over the arrival stream; no simulator
 // involved. `--window` slices a capture-time range and `--remap-ranks`
 // folds/subsets the rank space before anything else sees the events. Ends
-// with the determinism gates: every session's report must be
-// byte-identical to the single-tenant engine wrapper's over the same
-// stream, and engine reports must match across shard counts {1,2,4},
-// batch sizes {64,4096,unbounded}, and a write_csv round trip; exits 2 on
-// any mismatch.
+// with the O(events) gates of bench/trace_gates.hpp (streamed ==
+// materialized events, engine invariance across shard counts {1,2,4} and
+// batch sizes {64,4096,unbounded} one axis at a time, session ==
+// reference report, write_csv round trip) plus an adaptive replay
+// byte-identical across the shard counts; exits 2 on any mismatch.
 //
 // `--emit-metrics <file>` writes the final metrics snapshot (serve.*,
 // engine.feed.* per tenant, adaptive.policy.*) as JSON;
@@ -26,44 +26,18 @@
 //       [--emit-metrics <file>] [--emit-trace-events <file>]
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "bench/trace_gates.hpp"
 #include "engine/engine.hpp"
 #include "ingest/replay.hpp"
-#include "ingest/source.hpp"
 #include "ingest/streaming.hpp"
-#include "ingest/transform.hpp"
-#include "ingest/verify.hpp"
 #include "serve/server.hpp"
 
 namespace {
-
-/// Tees every pulled batch into a sink, so the adaptive replay below
-/// reuses the last level's transformed events instead of re-parsing the
-/// whole file a second time.
-class TeeStream final : public mpipred::ingest::EventStream {
- public:
-  TeeStream(std::unique_ptr<mpipred::ingest::EventStream> inner,
-            std::vector<mpipred::ingest::TimedEvent>& sink)
-      : inner_(std::move(inner)), sink_(&sink) {}
-
-  std::size_t next_batch(std::size_t max_events,
-                         std::vector<mpipred::ingest::TimedEvent>& out) override {
-    const std::size_t before = out.size();
-    const std::size_t got = inner_->next_batch(max_events, out);
-    sink_->insert(sink_->end(), out.begin() + static_cast<std::ptrdiff_t>(before), out.end());
-    return got;
-  }
-  [[nodiscard]] bool time_ordered() const noexcept override { return inner_->time_ordered(); }
-
- private:
-  std::unique_ptr<mpipred::ingest::EventStream> inner_;
-  std::vector<mpipred::ingest::TimedEvent>* sink_;
-};
 
 /// +1 accuracy as a percentage; 0 when the stream was empty (an empty
 /// window or keep set must degrade to a zero report, not an abort).
@@ -83,10 +57,7 @@ int run(int argc, char** argv) {
   const std::size_t shards = bench::shards_flag(arg.rest);
   const bench::TraceFlags flags = bench::trace_flags_or_exit(arg.rest);
   const bench::TelemetryFlags telem_flags = bench::telemetry_flags(arg.rest);
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    return 1;
-  }
+  bench::reject_arguments(arg.rest);
   if (flags.path.empty()) {
     throw UsageError("replay_trace requires --trace <file>");
   }
@@ -95,8 +66,9 @@ int run(int argc, char** argv) {
   const engine::EngineConfig cfg{.predictor = arg.name, .shards = shards};
 
   // Registry + (ordinal-clocked) trace sink behind the `--emit-*` flags.
-  // The serve sessions report into the registry; the wrapper/gate engines
-  // stay metrics-free, so every gate doubles as an on/off check.
+  // The serve sessions report into the registry; the gates' reference
+  // engines stay metrics-free, so the serve gate doubles as an on/off
+  // check.
   telemetry::Telemetry telem;
   if (!telem_flags.trace_path.empty()) {
     telem.enable_tracing();
@@ -113,55 +85,20 @@ int run(int argc, char** argv) {
   // the resident service: one PredictionServer, one isolated session per
   // trace level, each fed by the incremental reader in batches (parse of
   // batch N+1 overlapped with the drain of batch N). The last level's
-  // transformed arrivals double as the adaptive replay's input below
-  // (physical, when the format records it).
+  // transformed arrivals are the adaptive replay's input below (physical,
+  // when the format records it).
   serve::PredictionServer server({.engine = server_cfg});
-  std::vector<engine::Event> arrivals;
-  try {
-    std::vector<ingest::TimedEvent> last_level_events;
-    for (const trace::Level level : source->levels()) {
-      auto chain = ingest::apply_transforms(ingest::open_event_stream(flags.path, level),
-                                            flags.transforms);
-      std::unique_ptr<ingest::EventStream> stream = std::move(chain.stream);
-      if (level == source->levels().back()) {
-        stream = std::make_unique<TeeStream>(std::move(stream), last_level_events);
-      }
-      const auto session = server.open_session();
-      const ingest::StreamedRun run = ingest::run_into(*stream, *session, flags.batch_events);
-
-      // Wrapper-vs-session gate: the single-tenant engine over a second
-      // pass of the same stream must reproduce the session's report byte
-      // for byte — the serve layer may never change a number.
-      auto wrapper_chain = ingest::apply_transforms(ingest::open_event_stream(flags.path, level),
-                                                    flags.transforms);
-      const ingest::StreamedRun wrapper =
-          ingest::StreamingReplay{.engine = cfg, .batch_events = flags.batch_events}.run(
-              *wrapper_chain.stream);
-      if (wrapper.report != run.report) {
-        std::fprintf(stderr, "serve gate FAILED: session report differs from the engine "
-                             "wrapper's at the %s level\n",
-                     std::string(to_string(level)).c_str());
-        return 2;
-      }
-      std::printf("%s level: %lld messages over %zu streams in %zu batches, +1 accuracy "
-                  "senders %.1f%% / sizes %.1f%%\n",
-                  std::string(to_string(level)).c_str(), static_cast<long long>(run.events),
-                  run.report.streams.size(), run.batches,
-                  pct_at_one(run.report.aggregate_senders),
-                  pct_at_one(run.report.aggregate_sizes));
-      if (chain.window != nullptr) {
-        std::printf("  %s\n", chain.window->summary().c_str());
-      }
-      if (chain.remap != nullptr) {
-        std::printf("  remap %s: %s\n", chain.remap->config().to_string().c_str(),
-                    chain.remap->report().summary().c_str());
-      }
-    }
-    arrivals = ingest::strip_times(last_level_events);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
+  const bench::TraceReplay replay = bench::replay_trace_or_exit(*source, flags, server, cfg);
+  for (const bench::TraceLevel& tl : replay.levels) {
+    const ingest::StreamedRun& run = tl.session;
+    std::printf("%s level: %lld messages over %zu streams in %zu batches, +1 accuracy "
+                "senders %.1f%% / sizes %.1f%%\n",
+                std::string(to_string(tl.level)).c_str(), static_cast<long long>(run.events),
+                run.report.streams.size(), run.batches, pct_at_one(run.report.aggregate_senders),
+                pct_at_one(run.report.aggregate_sizes));
+    std::printf("%s", tl.transform_lines.c_str());
   }
+  const std::vector<engine::Event>& arrivals = replay.levels.back().events;
 
   // The §2 runtime question — what would the adaptive library have done?
   // — swept across shard counts (the first determinism gate).
@@ -178,30 +115,14 @@ int run(int argc, char** argv) {
     // Telemetry on/off gate: the instrumented replay (metrics registry
     // wired in, decision instants recorded) must reproduce the
     // un-instrumented sweep's summary byte for byte.
-    const ingest::AdaptiveReplay instrumented = ingest::replay_adaptive(arrivals, rt, &telem);
-    if (instrumented.summary() != swept.replay.summary()) {
-      std::fprintf(stderr, "telemetry gate FAILED: instrumented replay differs\n  ref : %s\n"
-                           "  got : %s\n",
-                   swept.replay.summary().c_str(), instrumented.summary().c_str());
-      return 2;
-    }
-  }
-  const auto streamed =
-      ingest::verify_streamed_source(flags.path, *source, flags.transforms, cfg, sweep);
-  if (!streamed.ok) {
-    std::fprintf(stderr, "streamed-ingest gate FAILED: %s\n", streamed.detail.c_str());
-    return 2;
-  }
-  if (const trace::TraceStore* store = source->store()) {
-    const auto gate = ingest::verify_csv_round_trip(*store, cfg, sweep);
+    const auto gate = bench::verify_adaptive_telemetry(arrivals, rt, swept.replay, telem);
     if (!gate.ok) {
-      std::fprintf(stderr, "round-trip gate FAILED: %s\n", gate.detail.c_str());
+      std::fprintf(stderr, "%s FAILED\n", gate.detail.c_str());
       return 2;
     }
   }
-  std::printf("gates: session == engine wrapper per level; adaptive replay and engine reports "
-              "byte-identical across shards {1,2,4}, batch sizes {64,4096,unbounded}, and a "
-              "write_csv round trip\n");
+  std::printf("gates: ok (%s; adaptive replay byte-identical across shards {1,2,4})\n",
+              bench::kTraceGatesSummary);
   if (telem_flags.any()) {
     bench::write_telemetry_or_exit(telem_flags, telem);
     std::printf("telemetry gate: ok (instrumented replay identical)");

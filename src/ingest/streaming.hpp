@@ -178,7 +178,7 @@ struct StreamedRun {
 /// engine's batched verb pair — `observe_batches(BatchProducer)` and
 /// `report()` — so the same driver serves a standalone PredictionEngine
 /// and a serve::Session; the two paths must produce byte-identical
-/// reports (the wrapper-vs-session gates in the examples pin this).
+/// reports (the serve gates of the `--trace` tools pin this).
 template <typename Target>
 StreamedRun run_into(EventStream& stream, Target& target,
                      std::size_t batch_events = kDefaultBatchEvents) {

@@ -1,5 +1,6 @@
 #include "ingest/verify.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -8,25 +9,26 @@
 
 namespace mpipred::ingest {
 
-namespace {
-
-engine::EngineReport report_over(std::span<const engine::Event> events,
-                                 const engine::EngineConfig& cfg, std::size_t shards) {
-  engine::EngineConfig run = cfg;
-  run.shards = shards;
-  engine::PredictionEngine eng(run);
-  eng.observe_all(events);
-  return eng.report();
+GateResult verify_stream_events(const StreamFactory& make_stream,
+                                std::span<const TimedEvent> reference) {
+  for (const std::size_t batch : kGateBatchEvents) {
+    const auto stream = make_stream();
+    const std::vector<TimedEvent> got = drain(*stream, batch);
+    if (std::ranges::equal(got, reference)) {
+      continue;
+    }
+    const auto first = std::ranges::mismatch(got, reference);
+    return {.ok = false,
+            .detail = "streamed events at batch-events=" + std::to_string(batch) +
+                      " differ from the materialized reference at event " +
+                      std::to_string(first.in1 - got.begin()) + " (" +
+                      std::to_string(got.size()) + " vs " + std::to_string(reference.size()) +
+                      " events)"};
+  }
+  return {};
 }
 
-}  // namespace
-
-RoundTripResult verify_csv_round_trip(const trace::TraceStore& store,
-                                      const engine::EngineConfig& cfg,
-                                      std::span<const std::size_t> shard_counts) {
-  if (shard_counts.empty()) {
-    return {.ok = false, .detail = "no shard counts requested"};
-  }
+GateResult verify_csv_round_trip(const trace::TraceStore& store) {
   std::stringstream csv;
   trace::write_csv(csv, store);
   std::unique_ptr<TraceSource> source;
@@ -36,83 +38,66 @@ RoundTripResult verify_csv_round_trip(const trace::TraceStore& store,
     return {.ok = false, .detail = std::string("re-ingest failed: ") + e.what()};
   }
   for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
-    const std::string label = std::string(trace::to_string(level));
     const auto direct = engine::events_from_trace(store, level);
     const auto ingested = source->events(level);
     if (direct != ingested) {
       return {.ok = false,
-              .detail = label + " level: ingested event stream differs from the store's (" +
+              .detail = std::string(trace::to_string(level)) +
+                        " level: ingested event stream differs from the store's (" +
                         std::to_string(ingested.size()) + " vs " + std::to_string(direct.size()) +
                         " events)"};
     }
-    const auto reference = report_over(direct, cfg, shard_counts.front());
-    for (const std::size_t shards : shard_counts) {
-      if (report_over(ingested, cfg, shards) != reference) {
-        return {.ok = false,
-                .detail = label + " level: report over ingested events at shards=" +
-                          std::to_string(shards) + " differs from the direct report (predictor " +
-                          cfg.predictor + ")"};
-      }
-    }
-    // The same equality through the streamed batch path: pulled batches of
-    // the re-ingested source must drive the engine to the identical report
-    // at every gate batch size (streamed == materialized == simulated).
-    const auto streamed = verify_streamed_replay(
-        [&source, level] { return source->stream_events(level); }, direct, cfg, shard_counts,
-        kGateBatchEvents);
-    if (!streamed.ok) {
-      return {.ok = false, .detail = label + " level: " + streamed.detail};
-    }
   }
   return {};
 }
 
-RoundTripResult verify_streamed_replay(const StreamFactory& make_stream,
-                                       std::span<const engine::Event> reference,
-                                       const engine::EngineConfig& cfg,
-                                       std::span<const std::size_t> shard_counts,
-                                       std::span<const std::size_t> batch_sizes) {
-  if (shard_counts.empty() || batch_sizes.empty()) {
-    return {.ok = false, .detail = "no shard counts or batch sizes requested"};
+InvarianceResult verify_engine_invariance(std::span<const engine::Event> events,
+                                          const engine::EngineConfig& cfg,
+                                          std::span<const std::size_t> shard_counts) {
+  InvarianceResult out;
+  if (shard_counts.empty()) {
+    out.gate = {.ok = false, .detail = "no shard counts requested"};
+    return out;
   }
-  const auto reference_report = report_over(reference, cfg, shard_counts.front());
-  for (const std::size_t shards : shard_counts) {
-    for (const std::size_t batch : batch_sizes) {
-      engine::EngineConfig run = cfg;
-      run.shards = shards;
-      const auto stream = make_stream();
-      const StreamedRun got = StreamingReplay{.engine = run, .batch_events = batch}.run(*stream);
-      if (got.report != reference_report) {
-        return {.ok = false,
-                .detail = "streamed report at shards=" + std::to_string(shards) +
-                          " batch-events=" + std::to_string(batch) +
-                          " differs from the materialized report (" + std::to_string(got.events) +
-                          " events streamed, predictor " + cfg.predictor + ")"};
-      }
+  const auto report_at = [&](std::size_t shards) {
+    engine::EngineConfig run = cfg;
+    run.shards = shards;
+    engine::PredictionEngine eng(run);
+    eng.observe_all(events);
+    return eng.report();
+  };
+  const auto mismatch = [&](const std::string& where) {
+    return GateResult{.ok = false,
+                      .detail = "engine report at " + where +
+                                " differs from the reference at shards=" +
+                                std::to_string(shard_counts.front()) + " (predictor " +
+                                cfg.predictor + ", " + std::to_string(events.size()) +
+                                " events)"};
+  };
+  out.reference = report_at(shard_counts.front());
+  for (const std::size_t shards : shard_counts.subspan(1)) {
+    if (report_at(shards) != out.reference) {
+      out.gate = mismatch("shards=" + std::to_string(shards));
+      return out;
     }
   }
-  return {};
-}
-
-RoundTripResult verify_streamed_source(const std::string& path, const TraceSource& source,
-                                       const TransformSpec& spec, const engine::EngineConfig& cfg,
-                                       std::span<const std::size_t> shard_counts) {
-  for (const trace::Level level : source.levels()) {
-    // Materialized reference: the source's own events through the same
-    // transform chain, applied eagerly.
-    auto reference_chain = apply_transforms(source.stream_events(level), spec);
-    const auto reference = strip_times(drain(*reference_chain.stream));
-    const auto gate = verify_streamed_replay(
-        [&path, &spec, level] {
-          return apply_transforms(open_event_stream(path, level), spec).stream;
-        },
-        reference, cfg, shard_counts, kGateBatchEvents);
-    if (!gate.ok) {
-      return {.ok = false,
-              .detail = std::string(trace::to_string(level)) + " level: " + gate.detail};
+  std::vector<TimedEvent> timed;
+  timed.reserve(events.size());
+  for (const engine::Event& event : events) {
+    timed.push_back({.event = event});
+  }
+  engine::EngineConfig run = cfg;
+  run.shards = shard_counts.back();
+  for (const std::size_t batch : kGateBatchEvents) {
+    VectorEventStream stream(timed);
+    if (StreamingReplay{.engine = run, .batch_events = batch}.run(stream).report !=
+        out.reference) {
+      out.gate = mismatch("shards=" + std::to_string(run.shards) +
+                          " batch-events=" + std::to_string(batch));
+      return out;
     }
   }
-  return {};
+  return out;
 }
 
 }  // namespace mpipred::ingest

@@ -1,27 +1,13 @@
 #pragma once
 
-// The reproducibility gates at the ingest boundary:
-//
-//  * verify_csv_round_trip — a trace exported with trace::write_csv and
-//    re-ingested through the CSV source must drive the prediction engine
-//    to a byte-identical EngineReport, for every level, at every requested
-//    shard count, through the materialized AND the streamed feed path at
-//    every gate batch size (streamed == materialized == simulated).
-//  * verify_streamed_replay — a pull-based stream (file-backed reader,
-//    transform chain) replayed through StreamingReplay must match the
-//    report over its materialized reference at every shard count × batch
-//    size point.
-//  * verify_streamed_source — the per-level gate every `--trace` consumer
-//    runs over its (possibly transformed) input file.
-//
-// Benches taking `--trace` run these gates and exit 2 on mismatch, so
-// replayed numbers can never silently drift from simulated ones.
-//
-// Gates are comparison-based by design: they materialize one reference
-// copy of the (transformed) stream and re-read the file once per
-// shard × batch point, trading memory and wall time for certainty. The
-// bounded-memory property belongs to the replay pass itself
-// (StreamingReplay over CsvStreamReader), not to the gates that audit it.
+// The reproducibility gates at the ingest boundary, each O(events). Event
+// sequences are compared directly (a stream that yields the same events in
+// the same order feeds any engine identically); engine invariance is
+// checked one axis at a time, so its cost is the sum of the shard and
+// batch axes, not their product (the full grid runs in ctest on small
+// captures). The `--trace` tools run them through bench/trace_gates.hpp
+// and exit 2 on any mismatch. The bounded-memory property belongs to the
+// replay pass (StreamingReplay over CsvStreamReader), not to the gates.
 
 #include <cstddef>
 #include <functional>
@@ -31,53 +17,44 @@
 
 #include "engine/engine.hpp"
 #include "ingest/streaming.hpp"
-#include "ingest/transform.hpp"
 #include "trace/store.hpp"
 
 namespace mpipred::ingest {
 
-class TraceSource;
-
 /// Batch sizes every streamed gate sweeps (0 = unbounded, one batch).
 inline constexpr std::size_t kGateBatchEvents[] = {64, 4096, 0};
 
-struct RoundTripResult {
+struct GateResult {
   bool ok = true;
-  /// First mismatch (level, shard count, what differed); empty when ok.
+  /// First mismatch (what differed, and where); empty when ok.
   std::string detail;
 };
-
-/// Exports `store` as CSV in memory, re-ingests it, and compares the
-/// engine report over the ingested events against the report over the
-/// store's own events — per level, at every shard count in
-/// `shard_counts` (the first entry computes the reference), then repeats
-/// the comparison through the streamed batch path at every
-/// kGateBatchEvents size.
-[[nodiscard]] RoundTripResult verify_csv_round_trip(const trace::TraceStore& store,
-                                                    const engine::EngineConfig& cfg,
-                                                    std::span<const std::size_t> shard_counts);
 
 /// Produces a fresh stream of the same events on every call (streams are
 /// single-use; every gate point replays from the start).
 using StreamFactory = std::function<std::unique_ptr<EventStream>()>;
 
-/// The streamed == materialized gate: for every shard count × batch size,
-/// a StreamingReplay over make_stream() must produce a report
-/// byte-identical to observe_all over `reference` at shard_counts.front().
-[[nodiscard]] RoundTripResult verify_streamed_replay(const StreamFactory& make_stream,
-                                                     std::span<const engine::Event> reference,
-                                                     const engine::EngineConfig& cfg,
-                                                     std::span<const std::size_t> shard_counts,
-                                                     std::span<const std::size_t> batch_sizes);
+/// The ingest gate: make_stream() drained at every kGateBatchEvents size
+/// must yield exactly `reference`, timestamps included. No engine runs.
+[[nodiscard]] GateResult verify_stream_events(const StreamFactory& make_stream,
+                                              std::span<const TimedEvent> reference);
 
-/// The runtime gate of the `--trace` tools: for each level of `source`,
-/// the file-backed streamed path (open_event_stream + `spec` transforms)
-/// must match the materialized reference (source.stream_events + the same
-/// transforms) across `shard_counts` × kGateBatchEvents.
-[[nodiscard]] RoundTripResult verify_streamed_source(const std::string& path,
-                                                     const TraceSource& source,
-                                                     const TransformSpec& spec,
-                                                     const engine::EngineConfig& cfg,
-                                                     std::span<const std::size_t> shard_counts);
+/// Exports `store` as CSV in memory, re-ingests it, and requires the
+/// re-ingested events of every level to equal the store's own.
+[[nodiscard]] GateResult verify_csv_round_trip(const trace::TraceStore& store);
+
+struct InvarianceResult {
+  /// observe_all over the events at shard_counts.front().
+  engine::EngineReport reference;
+  GateResult gate;
+};
+
+/// The engine-invariance gate: the reference report, then an observe_all
+/// pass at each further entry of `shard_counts` and a StreamingReplay pass
+/// for each kGateBatchEvents size at shard_counts.back() (the batch passes
+/// run on the most shards); every report must equal the reference.
+[[nodiscard]] InvarianceResult verify_engine_invariance(std::span<const engine::Event> events,
+                                                        const engine::EngineConfig& cfg,
+                                                        std::span<const std::size_t> shard_counts);
 
 }  // namespace mpipred::ingest

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""CLI robustness check for every tool under examples/.
+"""CLI robustness check for every tool under examples/ and bench/.
 
 Each tool is run with `--help`, with junk arguments and with a path that
 does not exist. `--help` must exit 0 and print a usage line; every bad
 invocation must exit 1 with a diagnostic on stderr. A tool killed by a
 signal (an uncaught exception ends in SIGABRT) or exiting with any other
 status fails the check. Tools run in a scratch working directory, so a
-tool that writes files cannot litter the build tree.
+tool that writes files cannot litter the build tree. Bad input must be
+rejected before any simulation starts, so every case is fast.
 
 Usage:
-    cli_test.py --bin-dir BUILD_DIR
+    cli_test.py --bin-dir BUILD_DIR [--with-bench]
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 MISSING = "no-such-dir/no-such-file.csv"
 
 # Bad invocations per tool, beyond the shared `--no-such-flag` case. Every
-# examples/*.cpp tool must have an entry, so a new tool cannot slip past.
+# examples/*.cpp and bench/bench_*.cpp tool must have an entry, so a new
+# tool cannot slip past.
 BAD_ARGS: dict[str, list[list[str]]] = {
     "buffer_planner": [["abc"], ["16x"], [MISSING]],
     "online_prediction": [[MISSING], ["--predictor", "nope"]],
@@ -38,7 +40,27 @@ BAD_ARGS: dict[str, list[list[str]]] = {
     "quickstart": [[MISSING], ["dpd", "extra"]],
     "replay_trace": [[], ["--trace", MISSING], ["--trace", MISSING, "--batch-events", "x"]],
     "trace_export": [[MISSING], ["out.csv", "extra"]],
+    "bench_ablation": [["--predictor", "nope"], ["extra"]],
+    "bench_adaptive": [["--trace", MISSING], ["--shards", "x"], ["--window", "1:2"], ["extra"]],
+    "bench_adaptive_speedup": [["--apps", "nope"], ["--apps", "bt,nope"], ["--seeds", "0"]],
+    "bench_async_overlap": [["--iters", "x"], ["extra"]],
+    "bench_baselines": [["extra"]],
+    "bench_engine_latency": [["--events", "x"], ["--predictor", "nope"]],
+    "bench_engine_scaling": [["--events", "0"], ["--predictor", "nope"]],
+    "bench_figure1": [["extra"]],
+    "bench_figure2": [["extra"]],
+    "bench_figure3": [["--predictor", "nope"]],
+    "bench_figure4": [["--predictor", "nope"]],
+    "bench_flow_control": [["extra"]],
+    "bench_memory_reduction": [["extra"]],
+    "bench_predictor_overhead": [],
+    "bench_rendezvous": [["extra"]],
+    "bench_set_prediction": [["--predictor", "nope"]],
+    "bench_table1": [["extra"]],
 }
+
+# Built only where Google Benchmark is installed.
+OPTIONAL_TOOLS = {"bench_predictor_overhead"}
 
 TIMEOUT_S = 120
 
@@ -63,10 +85,14 @@ def describe(tool: str, args: list[str], proc: subprocess.CompletedProcess[str])
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bin-dir", required=True, type=Path)
+    parser.add_argument("--with-bench", action="store_true",
+                        help="also check the bench/ tools (built with MPIPRED_BUILD_BENCH)")
     opts = parser.parse_args()
     bin_dir = opts.bin_dir.resolve()
 
     tools = sorted(p.stem for p in (REPO_ROOT / "examples").glob("*.cpp"))
+    if opts.with_bench:
+        tools += sorted(p.stem for p in (REPO_ROOT / "bench").glob("bench_*.cpp"))
     failures: list[str] = []
     for tool in tools:
         if tool not in BAD_ARGS:
@@ -74,7 +100,10 @@ def main() -> int:
             continue
         binary = bin_dir / tool
         if not binary.exists():
-            failures.append(f"{tool}: binary not found at {binary}")
+            if tool in OPTIONAL_TOOLS:
+                print(f"{tool}: not built, skipped")
+            else:
+                failures.append(f"{tool}: binary not found at {binary}")
             continue
         with tempfile.TemporaryDirectory() as cwd:
             proc = run(binary, ["--help"], cwd)

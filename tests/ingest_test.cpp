@@ -229,28 +229,60 @@ TEST(FormatRegistry, PluggableFormatsDispatchByProbe) {
   EXPECT_EQ(source->store(), nullptr);
 }
 
+// The full shard × batch product grid, run here on small captures (the
+// tools' runtime gates check one axis at a time): a StreamingReplay over
+// make_stream() at every shard count {1,2,4} × gate batch size must report
+// exactly what observe_all over `reference` reports on one shard.
+void expect_grid_matches(const StreamFactory& make_stream,
+                         std::span<const engine::Event> reference,
+                         const engine::EngineConfig& cfg) {
+  engine::EngineConfig one_shard = cfg;
+  one_shard.shards = 1;
+  engine::PredictionEngine eng(one_shard);
+  eng.observe_all(reference);
+  const auto expected = eng.report();
+  for (const std::size_t shards : {1, 2, 4}) {
+    for (const std::size_t batch : kGateBatchEvents) {
+      engine::EngineConfig run = cfg;
+      run.shards = shards;
+      const auto stream = make_stream();
+      const StreamedRun got = StreamingReplay{.engine = run, .batch_events = batch}.run(*stream);
+      EXPECT_TRUE(got.report == expected)
+          << cfg.predictor << " at shards=" << shards << " batch-events=" << batch;
+    }
+  }
+}
+
 // The acceptance gate: a simulated run exported with write_csv and
-// replayed through src/ingest/ produces a byte-identical EngineReport for
-// every registry predictor, across shard counts {1, 2, 4}.
+// replayed through src/ingest/ yields the store's events, and drives a
+// byte-identical EngineReport for every registry predictor across shard
+// counts {1, 2, 4} × gate batch sizes.
 TEST(RoundTrip, GateHoldsForEveryRegistryPredictorAcrossShards) {
   mpi::World world(8, apps::paper_world_config(/*seed=*/7));
   const auto outcome =
       apps::run_is(world, apps::AppConfig{.problem_class = apps::ProblemClass::S});
   ASSERT_TRUE(outcome.verified);
 
-  const std::size_t shard_counts[] = {1, 2, 4};
+  const auto gate = verify_csv_round_trip(world.traces());
+  ASSERT_TRUE(gate.ok) << gate.detail;
+  std::stringstream csv;
+  trace::write_csv(csv, world.traces());
+  const auto source = open_trace_stream(csv, "<round-trip>");
   for (const std::string& predictor : engine::builtin_predictor_names()) {
-    const auto gate = verify_csv_round_trip(
-        world.traces(), engine::EngineConfig{.predictor = predictor}, shard_counts);
-    EXPECT_TRUE(gate.ok) << predictor << ": " << gate.detail;
+    for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
+      expect_grid_matches([&source, level] { return source->stream_events(level); },
+                          engine::events_from_trace(world.traces(), level),
+                          engine::EngineConfig{.predictor = predictor});
+    }
   }
 }
 
 TEST(RoundTrip, EmptyStoreAndEmptyShardListHandled) {
   const trace::TraceStore empty(3);
   const std::size_t shard_counts[] = {1, 2};
-  EXPECT_TRUE(verify_csv_round_trip(empty, {}, shard_counts).ok);
-  EXPECT_FALSE(verify_csv_round_trip(empty, {}, {}).ok);
+  EXPECT_TRUE(verify_csv_round_trip(empty).ok);
+  EXPECT_TRUE(verify_engine_invariance({}, {}, shard_counts).gate.ok);
+  EXPECT_FALSE(verify_engine_invariance({}, {}, {}).gate.ok);
 }
 
 TEST(AdaptiveReplay, SummaryDeterministicAcrossShardCounts) {
@@ -667,12 +699,9 @@ TEST(Streaming, StreamingReplayMatchesObserveAllReport) {
   const auto store = random_store(/*seed=*/55, /*nranks=*/4, /*records_per_rank=*/100);
   const std::string path = ::testing::TempDir() + "stream_replay.csv";
   trace::write_csv_file(path, store);
-  const auto events = engine::events_from_trace(store, trace::Level::Physical);
-  const std::size_t shard_counts[] = {1, 2, 4};
-  const auto gate = verify_streamed_replay(
-      [&path] { return open_event_stream(path, trace::Level::Physical); }, events,
-      engine::EngineConfig{}, shard_counts, kGateBatchEvents);
-  EXPECT_TRUE(gate.ok) << gate.detail;
+  expect_grid_matches([&path] { return open_event_stream(path, trace::Level::Physical); },
+                      engine::events_from_trace(store, trace::Level::Physical),
+                      engine::EngineConfig{});
 }
 
 // ---------------------------------------------------------------------------
@@ -852,15 +881,13 @@ TEST(Transform, CompositionMatchesEagerReferenceOnRandomizedTrace) {
 
   // Engine equality across shard counts × gate batch sizes, against the
   // oracle's report.
-  const std::size_t shard_counts[] = {1, 2, 4};
-  const auto gate = verify_streamed_replay(
+  expect_grid_matches(
       [&events, &spec] {
         return apply_transforms(
                    std::make_unique<VectorEventStream>(events, /*time_ordered=*/true), spec)
             .stream;
       },
-      strip_times(oracle), engine::EngineConfig{}, shard_counts, kGateBatchEvents);
-  EXPECT_TRUE(gate.ok) << gate.detail;
+      strip_times(oracle), engine::EngineConfig{});
 
   // Mapping reports are a pure function of the streamed events: identical
   // for any batch size.
@@ -874,19 +901,26 @@ TEST(Transform, CompositionMatchesEagerReferenceOnRandomizedTrace) {
   EXPECT_EQ(chain_a.remap->report().mapping, chain_b.remap->report().mapping);
 }
 
-// End-to-end over a real file: the tool-level gate (file-backed streamed
-// chain vs materialized transformed reference) holds with both transforms
-// active.
+// End-to-end over a real file, with both transforms active: the
+// file-backed streamed chain yields the materialized transformed
+// reference (the tools' ingest gate), and drives the engine to its report
+// across the whole shard × batch grid.
 TEST(Transform, StreamedSourceGateHoldsOverTransformedFile) {
   const auto store = random_store(/*seed=*/77, /*nranks=*/6, /*records_per_rank=*/80);
   const std::string path = ::testing::TempDir() + "stream_transformed.csv";
   trace::write_csv_file(path, store);
   const auto source = open_trace(path);
   const TransformSpec spec = TransformSpec::parse("10:120", "keep:0-2");
-  const std::size_t shard_counts[] = {1, 2, 4};
-  const auto gate = verify_streamed_source(path, *source, spec,
-                                           engine::EngineConfig{}, shard_counts);
-  EXPECT_TRUE(gate.ok) << gate.detail;
+  for (const trace::Level level : source->levels()) {
+    const auto reference = drain(*apply_transforms(source->stream_events(level), spec).stream);
+    ASSERT_FALSE(reference.empty());
+    const auto file_chain = [&path, &spec, level] {
+      return apply_transforms(open_event_stream(path, level), spec).stream;
+    };
+    const auto gate = verify_stream_events(file_chain, reference);
+    EXPECT_TRUE(gate.ok) << gate.detail;
+    expect_grid_matches(file_chain, strip_times(reference), engine::EngineConfig{});
+  }
 }
 
 }  // namespace
