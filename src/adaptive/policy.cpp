@@ -37,7 +37,7 @@ void AdaptivePolicy::refresh_plan(Receiver& r) {
     r.preposted.clear();
     return;
   }
-  r.preposted = service_.predicted_senders(r.destination, cfg_.min_confidence);
+  service_.predicted_senders(r.preposted, r.destination, cfg_.min_confidence);
   // Keep a small LRU of recent senders allocated as well, newest first.
   for (auto it = r.lru.rbegin(); it != r.lru.rend(); ++it) {
     if (std::find(r.preposted.begin(), r.preposted.end(), *it) == r.preposted.end()) {
@@ -89,12 +89,10 @@ Protocol AdaptivePolicy::choose_protocol(const engine::Event& event) {
   }
   // Was (sender, >= size) anticipated anywhere in the predicted window?
   // Buffers pre-allocated for the window make arrival order moot (§5.3).
-  for (const Prediction& p : service_.predicted_window(event.destination, event.tag)) {
-    if (p.sender == event.source && p.bytes && *p.bytes >= event.bytes &&
-        p.confidence >= cfg_.min_confidence) {
-      ++stats_.rendezvous_elided;
-      return Protocol::ElidedRendezvous;
-    }
+  if (service_.window_anticipates(event.destination, event.tag, event.source, event.bytes,
+                                  cfg_.min_confidence)) {
+    ++stats_.rendezvous_elided;
+    return Protocol::ElidedRendezvous;
   }
   ++stats_.rendezvous_sends;
   return Protocol::Rendezvous;

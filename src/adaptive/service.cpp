@@ -99,15 +99,38 @@ std::vector<Prediction> PredictionService::predicted_window(std::int32_t destina
   return out;
 }
 
+bool PredictionService::window_anticipates(std::int32_t destination, std::int32_t tag,
+                                           std::int32_t sender, std::int64_t bytes,
+                                           double min_confidence) const {
+  const engine::StreamRef ref = arrival_.stream(arrival_key(destination, tag));
+  const engine::StreamSnapshot snap = ref.snapshot();
+  for (std::size_t h = 1; h <= horizon_; ++h) {
+    const auto p = prediction_at(ref, snap, h);
+    if (p && p->sender == sender && p->bytes && *p->bytes >= bytes &&
+        p->confidence >= min_confidence) {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::vector<std::int32_t> PredictionService::predicted_senders(std::int32_t destination,
                                                                double min_confidence,
                                                                std::int32_t tag) const {
   std::vector<std::int32_t> out;
+  predicted_senders(out, destination, min_confidence, tag);
+  return out;
+}
+
+void PredictionService::predicted_senders(std::vector<std::int32_t>& out,
+                                          std::int32_t destination, double min_confidence,
+                                          std::int32_t tag) const {
+  out.clear();
   const engine::StreamRef ref = arrival_.stream(arrival_key(destination, tag));
   // Gate on the sender dimension alone: a missing size prediction must not
   // block buffer pre-posting (the buffer has a fixed size anyway).
   if (ref.snapshot().sender_accuracy < min_confidence) {
-    return out;
+    return;
   }
   for (std::size_t h = 1; h <= horizon_; ++h) {
     const auto sender = ref.predict_sender(h);
@@ -116,7 +139,6 @@ std::vector<std::int32_t> PredictionService::predicted_senders(std::int32_t dest
       out.push_back(static_cast<std::int32_t>(*sender));
     }
   }
-  return out;
 }
 
 std::optional<std::int64_t> PredictionService::predict_stream_size(std::int32_t source,

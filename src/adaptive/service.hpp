@@ -62,11 +62,22 @@ class PredictionService {
   [[nodiscard]] std::vector<Prediction> predicted_window(std::int32_t destination,
                                                          std::int32_t tag = 0) const;
 
+  /// Whether the predicted window holds (`sender`, size >= `bytes`) at
+  /// confidence >= `min_confidence`: a scan of predicted_window() that
+  /// builds no vector (the policy asks once per long send).
+  [[nodiscard]] bool window_anticipates(std::int32_t destination, std::int32_t tag,
+                                        std::int32_t sender, std::int64_t bytes,
+                                        double min_confidence) const;
+
   /// Distinct senders of the predicted window whose confidence reaches
   /// `min_confidence`, in first-appearance order (deterministic).
   [[nodiscard]] std::vector<std::int32_t> predicted_senders(std::int32_t destination,
                                                             double min_confidence = 0.0,
                                                             std::int32_t tag = 0) const;
+  /// predicted_senders() written over `out`, reusing its capacity (the
+  /// policy re-plans on every arrival).
+  void predicted_senders(std::vector<std::int32_t>& out, std::int32_t destination,
+                         double min_confidence = 0.0, std::int32_t tag = 0) const;
 
   /// Next predicted size of the (source -> destination) flow, from the
   /// per-stream view; nullopt without a basis.

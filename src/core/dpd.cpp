@@ -1,10 +1,188 @@
 #include "core/dpd.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/assert.hpp"
 
+// The wider tiers need x86-64 and the GNU target attribute (gcc, clang).
+#if defined(__x86_64__) && defined(__GNUC__)
+#define MPIPRED_DPD_X86_TIERS 1
+#endif
+
 namespace mpipred::core {
+
+namespace {
+
+using Value = PeriodicityDetector::Value;
+
+struct Best {
+  std::int64_t run = 0;    // longest run that passes its lag's threshold
+  std::int64_t score = 0;  // highest score that passes its lag's threshold
+};
+
+// Moves the evidence of n consecutive lags, the first of which is `first`,
+// against v; past[i] is x[t-(first+i)]. A match earns one point (capped at
+// twice the lag's threshold), a mismatch costs `penalty` — hysteresis that
+// rides through isolated glitches but drains quickly on real pattern
+// changes. Branch-free, so every tier vectorizes it.
+[[gnu::always_inline]] inline Best update_lags(const Value* __restrict past,
+                                               std::int64_t* __restrict run,
+                                               std::int64_t* __restrict score, std::int64_t n,
+                                               std::int64_t first, const DpdConfig& cfg, Value v,
+                                               Best best) {
+  const auto c = static_cast<std::int64_t>(cfg.confirm_periods);
+  const auto floor = static_cast<std::int64_t>(cfg.min_confirm_samples);
+  const auto penalty = static_cast<std::int64_t>(cfg.mismatch_penalty);
+  std::int64_t cm = c * first;  // c*m as an induction variable
+  std::int64_t best_run = best.run;
+  std::int64_t best_score = best.score;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t need = std::max(cm, floor);
+    cm += c;
+    const bool hit = past[i] == v;
+    const std::int64_t r = hit ? run[i] + 1 : 0;
+    const std::int64_t s =
+        hit ? std::min(score[i] + 1, need + need) : std::max<std::int64_t>(score[i] - penalty, 0);
+    run[i] = r;
+    score[i] = s;
+    best_run = std::max(best_run, r >= need ? r : 0);
+    best_score = std::max(best_score, s >= need ? s : 0);
+  }
+  return {best_run, best_score};
+}
+
+// The smallest lag m in 1..n whose evidence passes its threshold and is at
+// least half of `best`, or 0. A max over (n - i) instead of an early exit,
+// and both conditions as one min instead of `&&`, keep the loop a plain
+// reduction.
+[[gnu::always_inline]] inline std::size_t first_qualifying(const std::int64_t* __restrict evidence,
+                                                          std::int64_t n, const DpdConfig& cfg,
+                                                          std::int64_t best) {
+  const auto c = static_cast<std::int64_t>(cfg.confirm_periods);
+  const auto floor = static_cast<std::int64_t>(cfg.min_confirm_samples);
+  std::int64_t cm = c;
+  std::int64_t key = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t need = std::max(cm, floor);
+    cm += c;
+    const std::int64_t e = evidence[i];
+    key = std::max(key, std::min(e - need, e + e - best) >= 0 ? n - i : 0);
+  }
+  return key == 0 ? 0 : static_cast<std::size_t>(n - key + 1);
+}
+
+// The whole per-sample scan, one body for every tier. Lag m compares v
+// with x[t-m], which the downward ring holds at slot head + m - 1: lags
+// up to the ring's top first, then the wrapped rest from slot 0. Lags
+// beyond `limit` have no x[t-m] yet; their state is still zero from
+// construction or reset() (buffered() only grows until then), so neither
+// pass needs to look at them.
+[[gnu::always_inline]] inline std::size_t scan_lags(const DpdConfig& cfg, const Value* ring,
+                                                   std::size_t head, std::size_t limit,
+                                                   std::int64_t* counters, Value v) {
+  const auto lags = static_cast<std::int64_t>(limit);
+  const auto near = static_cast<std::int64_t>(std::min(limit, cfg.window - head));
+  std::int64_t* run = counters;
+  std::int64_t* score = counters + cfg.max_period;
+  Best best = update_lags(ring + head, run, score, near, 1, cfg, v, {});
+  best = update_lags(ring, run + near, score + near, lags - near, near + 1, cfg, v, best);
+  // First choice: strict evidence. Among lags whose *consecutive* match
+  // run passes the threshold, take the smallest one within half of the
+  // longest run — on clean streams this is the fundamental period (or a
+  // harmless multiple), and the evidence weighting discards lags that only
+  // hold locally.
+  if (best.run > 0) {
+    return first_qualifying(run, lags, cfg, best.run);
+  }
+  // Fallback: hysteretic evidence. Right after an isolated reordering all
+  // strict runs are broken; the capped scores remember which lags held
+  // until a moment ago, so prediction continues instead of going silent
+  // for a whole relearning interval.
+  if (best.score > 0) {
+    return first_qualifying(score, lags, cfg, best.score);
+  }
+  return 0;
+}
+
+std::size_t scan_generic(const DpdConfig& cfg, const Value* ring, std::size_t head,
+                         std::size_t limit, std::int64_t* counters, Value v) {
+  return scan_lags(cfg, ring, head, limit, counters, v);
+}
+
+#ifdef MPIPRED_DPD_X86_TIERS
+[[gnu::target("avx2")]] std::size_t scan_avx2(const DpdConfig& cfg, const Value* ring,
+                                              std::size_t head, std::size_t limit,
+                                              std::int64_t* counters, Value v) {
+  return scan_lags(cfg, ring, head, limit, counters, v);
+}
+
+[[gnu::target("avx512f,avx512vl")]] std::size_t scan_avx512(const DpdConfig& cfg,
+                                                            const Value* ring, std::size_t head,
+                                                            std::size_t limit,
+                                                            std::int64_t* counters, Value v) {
+  return scan_lags(cfg, ring, head, limit, counters, v);
+}
+#endif
+
+using Scan = std::size_t (*)(const DpdConfig&, const Value*, std::size_t, std::size_t,
+                             std::int64_t*, Value);
+
+Scan scan_for(LagScanTier tier) {
+  switch (tier) {
+#ifdef MPIPRED_DPD_X86_TIERS
+    case LagScanTier::Avx512:
+      return &scan_avx512;
+    case LagScanTier::Avx2:
+      return &scan_avx2;
+#endif
+    default:
+      return &scan_generic;
+  }
+}
+
+struct TierTable {
+  std::array<LagScanTier, 3> tiers{LagScanTier::Generic};
+  std::size_t count = 1;
+};
+
+const TierTable& tier_table() {
+  static const TierTable table = [] {
+    TierTable t;
+#ifdef MPIPRED_DPD_X86_TIERS
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+      t.tiers[t.count++] = LagScanTier::Avx2;
+    }
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl")) {
+      t.tiers[t.count++] = LagScanTier::Avx512;
+    }
+#endif
+    return t;
+  }();
+  return table;
+}
+
+}  // namespace
+
+std::string_view to_string(LagScanTier tier) noexcept {
+  switch (tier) {
+    case LagScanTier::Generic:
+      return "generic";
+    case LagScanTier::Avx2:
+      return "avx2";
+    case LagScanTier::Avx512:
+      return "avx512";
+  }
+  return "?";
+}
+
+std::span<const LagScanTier> supported_lag_scan_tiers() {
+  const TierTable& t = tier_table();
+  return {t.tiers.data(), t.count};
+}
+
+LagScanTier dispatched_lag_scan_tier() { return supported_lag_scan_tiers().back(); }
 
 PeriodicityDetector::PeriodicityDetector(DpdConfig cfg) : cfg_(cfg) {
   MPIPRED_REQUIRE(cfg_.window >= 2, "window must hold at least two samples");
@@ -14,12 +192,12 @@ PeriodicityDetector::PeriodicityDetector(DpdConfig cfg) : cfg_(cfg) {
   MPIPRED_REQUIRE(cfg_.confirm_periods >= 1, "confirm_periods must be at least 1");
   MPIPRED_REQUIRE(cfg_.mismatch_penalty >= 1, "mismatch penalty must be at least 1");
   ring_.assign(cfg_.window, Value{0});
-  lags_.assign(cfg_.max_period, LagState{});
+  counters_.assign(2 * cfg_.max_period, 0);
 }
 
 void PeriodicityDetector::reset() {
   std::fill(ring_.begin(), ring_.end(), Value{0});
-  std::fill(lags_.begin(), lags_.end(), LagState{});
+  std::fill(counters_.begin(), counters_.end(), std::int64_t{0});
   total_ = 0;
   head_ = 0;
   lag_.reset();
@@ -31,50 +209,41 @@ std::size_t PeriodicityDetector::buffered() const noexcept {
 
 PeriodicityDetector::Value PeriodicityDetector::value_at_lag(std::size_t lag) const {
   MPIPRED_REQUIRE(lag < buffered(), "lag exceeds buffered history");
-  return lag < head_ ? ring_[head_ - 1 - lag] : ring_[head_ + cfg_.window - 1 - lag];
+  const std::size_t slot = head_ + lag;
+  return ring_[slot < cfg_.window ? slot : slot - cfg_.window];
+}
+
+std::size_t PeriodicityDetector::run(std::size_t m) const {
+  MPIPRED_REQUIRE(m >= 1 && m <= cfg_.max_period, "delay out of range");
+  return static_cast<std::size_t>(counters_[m - 1]);
+}
+
+std::size_t PeriodicityDetector::score(std::size_t m) const {
+  MPIPRED_REQUIRE(m >= 1 && m <= cfg_.max_period, "delay out of range");
+  return static_cast<std::size_t>(counters_[cfg_.max_period + m - 1]);
 }
 
 void PeriodicityDetector::observe(Value v) {
-  // Update the per-lag match scores before inserting, using the existing
-  // history: the comparison is x[t] vs x[t-m]. A match earns one point
-  // (capped), a mismatch costs `mismatch_penalty` — hysteresis that rides
-  // through isolated glitches but drains quickly on real pattern changes.
-  // Lags beyond the buffered history have no x[t-m] yet; their state is
-  // still zero from construction or reset() (buffered() only grows until
-  // then), so the loop stops at them.
-  const std::size_t limit = std::min(buffered(), cfg_.max_period);
-  std::size_t best_run = 0;    // longest run that passes its lag's threshold
-  std::size_t best_score = 0;  // highest score that passes its lag's threshold
-  const auto update = [&](std::size_t m, Value past) {
-    LagState& lag = lags_[m - 1];
-    const std::size_t need = threshold(m);
-    if (past == v) {
-      ++lag.run;
-      lag.score = std::min(lag.score + 1, 2 * need);
-    } else {
-      lag.run = 0;
-      lag.score -= std::min(lag.score, cfg_.mismatch_penalty);
-    }
-    if (lag.run >= need) {
-      best_run = std::max(best_run, lag.run);
-    }
-    if (lag.score >= need) {
-      best_score = std::max(best_score, lag.score);
-    }
-  };
-  // x[t-m] lies in two contiguous segments of the ring: just below head_
-  // for m <= head_, and wrapped to the top of the ring beyond that.
-  const std::size_t near = std::min(limit, head_);
-  for (std::size_t m = 1; m <= near; ++m) {
-    update(m, ring_[head_ - m]);
-  }
-  for (std::size_t m = near + 1; m <= limit; ++m) {
-    update(m, ring_[head_ + cfg_.window - m]);
-  }
+  static const Scan scan = scan_for(dispatched_lag_scan_tier());
+  step(v, scan);
+}
+
+void PeriodicityDetector::observe(Value v, LagScanTier tier) {
+  const auto tiers = supported_lag_scan_tiers();
+  MPIPRED_REQUIRE(std::find(tiers.begin(), tiers.end(), tier) != tiers.end(),
+                  "lag-scan tier not supported by this build and CPU");
+  step(v, scan_for(tier));
+}
+
+void PeriodicityDetector::step(Value v, LagScan scan) {
+  // Score the new sample against the existing history first (x[t] vs
+  // x[t-m]), then insert it below the newest one.
+  const std::size_t m = scan(cfg_, ring_.data(), head_, std::min(buffered(), cfg_.max_period),
+                             counters_.data(), v);
+  head_ = head_ == 0 ? cfg_.window - 1 : head_ - 1;
   ring_[head_] = v;
-  head_ = head_ + 1 == cfg_.window ? 0 : head_ + 1;
   ++total_;
-  lag_ = select_lag(best_run, best_score);
+  lag_ = m == 0 ? std::nullopt : std::optional<std::size_t>(m);
 }
 
 std::size_t PeriodicityDetector::threshold(std::size_t m) const noexcept {
@@ -83,7 +252,7 @@ std::size_t PeriodicityDetector::threshold(std::size_t m) const noexcept {
 
 std::optional<std::size_t> PeriodicityDetector::period() const {
   for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    if (lags_[m - 1].run < threshold(m)) {
+    if (run(m) < threshold(m)) {
       continue;
     }
     // Exact verification over a recent window of ~3 periods (at least the
@@ -100,36 +269,6 @@ std::optional<std::size_t> PeriodicityDetector::period() const {
     }
     if (exact) {
       return m;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<std::size_t> PeriodicityDetector::select_lag(std::size_t best_run,
-                                                           std::size_t best_score) const noexcept {
-  // First choice: strict evidence. Among lags whose *consecutive* match
-  // run passes the threshold, take the smallest one within half of the
-  // longest run — on clean streams this is the fundamental period (or a
-  // harmless multiple), and the evidence weighting discards lags that only
-  // hold locally.
-  if (best_run > 0) {
-    for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-      const LagState& lag = lags_[m - 1];
-      if (lag.run >= threshold(m) && 2 * lag.run >= best_run) {
-        return m;
-      }
-    }
-  }
-  // Fallback: hysteretic evidence. Right after an isolated reordering all
-  // strict runs are broken; the capped scores remember which lags held
-  // until a moment ago, so prediction continues instead of going silent
-  // for a whole relearning interval.
-  if (best_score > 0) {
-    for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-      const LagState& lag = lags_[m - 1];
-      if (lag.score >= threshold(m) && 2 * lag.score >= best_score) {
-        return m;
-      }
     }
   }
   return std::nullopt;

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <string_view>
 #include <vector>
 
 namespace mpipred::core {
@@ -34,6 +36,28 @@ struct DpdConfig {
   std::size_t mismatch_penalty = 2;
 };
 
+/// One compiled form of the per-sample lag scan in
+/// PeriodicityDetector::observe(). The scan is integer-only (compares,
+/// adds, min/max, no multiply, no floating point), so every tier computes
+/// the same detector state bit for bit; they differ only in how many lags
+/// one instruction covers.
+enum class LagScanTier : std::uint8_t {
+  Generic,  ///< the target's baseline instruction set (SSE2 on x86-64)
+  Avx2,     ///< x86-64 AVX2: four 64-bit lanes
+  Avx512,   ///< x86-64 AVX-512 F + VL: eight 64-bit lanes
+};
+
+[[nodiscard]] std::string_view to_string(LagScanTier tier) noexcept;
+
+/// The tiers compiled into this build that the running CPU supports,
+/// narrowest first. Generic is always there; builds for targets other
+/// than x86-64 compile only Generic.
+[[nodiscard]] std::span<const LagScanTier> supported_lag_scan_tiers();
+
+/// The tier observe(v) runs: the widest supported one, picked once per
+/// process.
+[[nodiscard]] LagScanTier dispatched_lag_scan_tier();
+
 /// Dynamic periodicity detector (DPD) after Freitag, Corbalan & Labarta
 /// (IPDPS 2001), as modified for prediction in the IPDPS 2003 paper this
 /// repository reproduces.
@@ -54,6 +78,22 @@ struct DpdConfig {
 /// Cost model: observe() is O(M) and also selects the prediction lag, so
 /// prediction_lag() — and with it StreamPredictor::predict(h) — is O(1).
 /// period() and distance() stay O(M + window); they serve reports.
+/// The O(M) part is two branch-free passes over contiguous int64 arrays:
+///  * the update pass compares the new sample with x[t-1..t-M] and moves
+///    every lag's run and score;
+///  * the selection pass finds the smallest qualifying lag as a max over
+///    (n - i), so it reduces like a sum instead of exiting early.
+/// The ring is written *downward*: the newest sample sits at head_ and
+/// older ones at ascending slots, so x[t-1..t-M] is at most two ascending
+/// runs of the ring, and each pass streams through memory in lag order.
+/// Thresholds advance as an induction variable (need(m+1) = need(m) + c
+/// before the floor) because AVX2 has no 64-bit multiply, and all lanes
+/// are signed because AVX2 has no unsigned 64-bit compare. Being integer
+/// only, the passes give identical state in every LagScanTier; the widest
+/// one the CPU supports runs. With the default config (M = 256) on a
+/// 37-periodic stream with 1% noise, one observe takes about 300 ns with
+/// AVX-512, 730 ns with AVX2 and 1370 ns generic (medians of 15 runs; gcc
+/// 12, Release, a 4-core AVX-512 x86-64).
 ///
 /// Values are opaque integers: sender ranks or message sizes here, but any
 /// symbol stream works.
@@ -66,6 +106,10 @@ class PeriodicityDetector {
   /// Feeds the next sample of the stream: updates every lag's evidence
   /// and selects the prediction lag in one O(M) call.
   void observe(Value v);
+
+  /// observe(v) through `tier` instead of the dispatched one, so a test
+  /// can hold every tier to the same state. `tier` must be supported.
+  void observe(Value v, LagScanTier tier);
 
   /// The smallest confirmed period, if any — the *fundamental* period in
   /// the paper's sense: the smallest lag that is score-confirmed AND has
@@ -90,6 +134,13 @@ class PeriodicityDetector {
   /// O(window); intended for analysis and tests, not the hot path.
   [[nodiscard]] int distance(std::size_t m) const;
 
+  /// Evidence for lag m (1 <= m <= max_period): the current run of
+  /// consecutive samples with x[t] == x[t-m], and the hysteretic match
+  /// score (a match adds one up to twice the lag's threshold, a mismatch
+  /// subtracts `mismatch_penalty` down to zero).
+  [[nodiscard]] std::size_t run(std::size_t m) const;
+  [[nodiscard]] std::size_t score(std::size_t m) const;
+
   /// Total samples observed so far.
   [[nodiscard]] std::int64_t samples() const noexcept { return total_; }
 
@@ -106,21 +157,21 @@ class PeriodicityDetector {
   void reset();
 
  private:
-  /// Evidence for one candidate lag m.
-  struct LagState {
-    std::size_t run = 0;    // strict consecutive matches at lag m
-    std::size_t score = 0;  // hysteretic match score at lag m
-  };
+  /// One tier's lag scan: updates the counters of lags 1..limit against
+  /// `v` and returns the selected prediction lag, 0 for none.
+  using LagScan = std::size_t (*)(const DpdConfig& cfg, const Value* ring, std::size_t head,
+                                  std::size_t limit, std::int64_t* counters, Value v);
 
   [[nodiscard]] std::size_t threshold(std::size_t m) const noexcept;
-  [[nodiscard]] std::optional<std::size_t> select_lag(std::size_t best_run,
-                                                      std::size_t best_score) const noexcept;
+  void step(Value v, LagScan scan);
 
   DpdConfig cfg_;
-  std::vector<Value> ring_;     // circular buffer of the last `window` samples
-  std::vector<LagState> lags_;  // lags_[m-1]: evidence for lag m
+  std::vector<Value> ring_;  // the last `window` samples, written downward
+  // Signed lag evidence, struct-of-arrays in one allocation:
+  // [0, M) the run of lag m at index m-1, [M, 2M) its score.
+  std::vector<std::int64_t> counters_;
   std::int64_t total_ = 0;
-  std::size_t head_ = 0;            // ring_ slot of the next sample (total_ mod window)
+  std::size_t head_ = 0;  // ring_ slot of the newest sample; lag k sits at (head_ + k) mod window
   std::optional<std::size_t> lag_;  // prediction_lag(), selected at the end of observe()
 };
 

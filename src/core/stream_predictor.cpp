@@ -51,8 +51,11 @@ std::unique_ptr<Predictor> StreamPredictor::clone_fresh() const {
 }
 
 std::size_t StreamPredictor::footprint_bytes() const {
-  // Detector state: the sample ring plus per-lag run and score counters
-  // (sizeof(*this) covers the detector's cached head and lag).
+  // Detector state: the sample ring plus per-lag run and score counters,
+  // 8 B each, held in one vector of 2·M (sizeof(*this) covers the
+  // detector's cached head and lag). Every report's footprint sums this
+  // figure, so a layout change moves them all; dpd_oracle_test pins the
+  // default.
   return sizeof(*this) + cfg_.dpd.window * sizeof(Value) +
          2 * cfg_.dpd.max_period * sizeof(std::size_t);
 }

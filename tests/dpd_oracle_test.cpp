@@ -6,12 +6,15 @@
 // copy, drives both with seeded random streams (clean periodic, isolated
 // swaps, phase shifts, pattern switches, pure noise, reset mid-stream)
 // under several DpdConfigs, and requires identical answers after every
-// single sample.
+// single sample. The lag scan is compiled once per CPU tier; every tier
+// this build and CPU support is held to the reference's full state (each
+// lag's run and score, not only the predictions).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iostream>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -39,6 +42,8 @@ class PeriodicityDetector {
   [[nodiscard]] std::optional<std::size_t> period() const;
   [[nodiscard]] std::optional<std::size_t> prediction_lag() const;
   [[nodiscard]] int distance(std::size_t m) const;
+  [[nodiscard]] std::size_t run(std::size_t m) const { return run_[m - 1]; }
+  [[nodiscard]] std::size_t score(std::size_t m) const { return score_[m - 1]; }
   [[nodiscard]] std::int64_t samples() const noexcept { return total_; }
   [[nodiscard]] Value value_at_lag(std::size_t lag) const;
   [[nodiscard]] std::size_t buffered() const noexcept;
@@ -486,6 +491,51 @@ TEST_P(DpdOracle, StreamPredictorMatchesReferenceAfterEverySample) {
   EXPECT_GT(locked_without_period, 0u);
 }
 
+TEST_P(DpdOracle, EveryTierMatchesReferenceStateAfterEverySample) {
+  const OracleCase& c = GetParam();
+  const std::size_t m_max = c.dpd.max_period;
+  for (const LagScanTier tier : supported_lag_scan_tiers()) {
+    SCOPED_TRACE("tier " + std::string(to_string(tier)));
+    std::size_t strict = 0;    // the lag came from a passing run
+    std::size_t fallback = 0;  // ...or only from the hysteretic scores
+    for (const Shape shape : kShapes) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(to_string(shape) + " seed " + std::to_string(seed));
+        sim::Rng rng(seed * 6007 + static_cast<std::uint64_t>(shape));
+        const auto stream = make_stream(shape, rng, 3 * c.dpd.window + 400, m_max + 3);
+        PeriodicityDetector det(c.dpd);
+        reference::PeriodicityDetector ref(c.dpd);
+        for (std::size_t t = 0; t < stream.size(); ++t) {
+          if (rng.below(500) == 0) {
+            det.reset();
+            ref.reset();
+          }
+          det.observe(stream[t], tier);
+          ref.observe(stream[t]);
+          ASSERT_EQ(det.samples(), ref.samples()) << "t=" << t;
+          ASSERT_EQ(det.prediction_lag(), ref.prediction_lag()) << "t=" << t;
+          ASSERT_EQ(det.period(), ref.period()) << "t=" << t;
+          bool any_run = false;
+          for (std::size_t m = 1; m <= m_max; ++m) {
+            ASSERT_EQ(det.run(m), ref.run(m)) << "t=" << t << " m=" << m;
+            ASSERT_EQ(det.score(m), ref.score(m)) << "t=" << t << " m=" << m;
+            any_run = any_run || ref.run(m) >= std::max(c.dpd.confirm_periods * m,
+                                                        c.dpd.min_confirm_samples);
+          }
+          for (std::size_t i = 0; i < ref.buffered(); ++i) {
+            ASSERT_EQ(det.value_at_lag(i), ref.value_at_lag(i)) << "t=" << t << " lag=" << i;
+          }
+          if (det.prediction_lag()) {
+            (any_run ? strict : fallback) += 1;
+          }
+        }
+      }
+    }
+    EXPECT_GT(strict, 0u);
+    EXPECT_GT(fallback, 0u);
+  }
+}
+
 TEST_P(DpdOracle, WindowedPredictorMatchesReferenceAfterEverySample) {
   const OracleCase& c = GetParam();
   const std::size_t horizon = horizon_for(c.dpd);
@@ -523,6 +573,38 @@ INSTANTIATE_TEST_SUITE_P(Configs, DpdOracle, ::testing::ValuesIn(oracle_cases())
                          [](const ::testing::TestParamInfo<OracleCase>& info) {
                            return info.param.name;
                          });
+
+TEST(DpdTiers, DispatchesTheWidestSupportedTier) {
+  const auto tiers = supported_lag_scan_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front(), LagScanTier::Generic);
+  EXPECT_EQ(dispatched_lag_scan_tier(), tiers.back());
+  std::string names;
+  for (const LagScanTier tier : tiers) {
+    names += (names.empty() ? "" : " ") + std::string(to_string(tier));
+  }
+  std::cout << "lag scan: dispatched " << to_string(dispatched_lag_scan_tier())
+            << " (supported: " << names << ")\n";
+  RecordProperty("dispatched_tier", std::string(to_string(dispatched_lag_scan_tier())));
+  // A tier this build or CPU lacks is refused, never run.
+  for (const LagScanTier tier : {LagScanTier::Generic, LagScanTier::Avx2, LagScanTier::Avx512}) {
+    if (std::find(tiers.begin(), tiers.end(), tier) == tiers.end()) {
+      PeriodicityDetector det;
+      EXPECT_THROW(det.observe(1, tier), UsageError) << to_string(tier);
+    }
+  }
+}
+
+TEST(DpdTiers, DefaultFootprintIsPinned) {
+  // Every report's footprint_bytes sums this figure; a change to the
+  // detector's layout (another member, a wider counter) must show here
+  // before it silently moves them. LP64: 184 B of object, a 512-sample
+  // ring and 2 x 256 lag counters of 8 B.
+  if constexpr (sizeof(void*) != 8) {
+    GTEST_SKIP() << "pinned for 64-bit targets";
+  }
+  EXPECT_EQ(StreamPredictor{}.footprint_bytes(), 8376u);
+}
 
 TEST(DpdOracle, ResetForgetsTheCachedLagAndPeriod) {
   StreamPredictor p;
