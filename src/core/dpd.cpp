@@ -72,12 +72,31 @@ struct Best {
   return key == 0 ? 0 : static_cast<std::size_t>(n - key + 1);
 }
 
+// first_qualifying as a loop that stops at the first qualifying lag: the
+// generic tier's selection, where no vector unit runs the reduction and
+// the winner is usually among the first few lags.
+[[gnu::always_inline]] inline std::size_t first_qualifying_early(
+    const std::int64_t* __restrict evidence, std::int64_t n, const DpdConfig& cfg,
+    std::int64_t best) {
+  const auto c = static_cast<std::int64_t>(cfg.confirm_periods);
+  const auto floor = static_cast<std::int64_t>(cfg.min_confirm_samples);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t e = evidence[i];
+    if (e >= std::max(c * (i + 1), floor) && e + e >= best) {
+      return static_cast<std::size_t>(i + 1);
+    }
+  }
+  return 0;
+}
+
 // The whole per-sample scan, one body for every tier. Lag m compares v
 // with x[t-m], which the downward ring holds at slot head + m - 1: lags
 // up to the ring's top first, then the wrapped rest from slot 0. Lags
 // beyond `limit` have no x[t-m] yet; their state is still zero from
 // construction or reset() (buffered() only grows until then), so neither
-// pass needs to look at them.
+// pass needs to look at them. `Select` is first_qualifying or
+// first_qualifying_early.
+template <auto Select>
 [[gnu::always_inline]] inline std::size_t scan_lags(const DpdConfig& cfg, const Value* ring,
                                                    std::size_t head, std::size_t limit,
                                                    std::int64_t* counters, Value v) {
@@ -93,35 +112,35 @@ struct Best {
   // harmless multiple), and the evidence weighting discards lags that only
   // hold locally.
   if (best.run > 0) {
-    return first_qualifying(run, lags, cfg, best.run);
+    return Select(run, lags, cfg, best.run);
   }
   // Fallback: hysteretic evidence. Right after an isolated reordering all
   // strict runs are broken; the capped scores remember which lags held
   // until a moment ago, so prediction continues instead of going silent
   // for a whole relearning interval.
   if (best.score > 0) {
-    return first_qualifying(score, lags, cfg, best.score);
+    return Select(score, lags, cfg, best.score);
   }
   return 0;
 }
 
 std::size_t scan_generic(const DpdConfig& cfg, const Value* ring, std::size_t head,
                          std::size_t limit, std::int64_t* counters, Value v) {
-  return scan_lags(cfg, ring, head, limit, counters, v);
+  return scan_lags<first_qualifying_early>(cfg, ring, head, limit, counters, v);
 }
 
 #ifdef MPIPRED_DPD_X86_TIERS
 [[gnu::target("avx2")]] std::size_t scan_avx2(const DpdConfig& cfg, const Value* ring,
                                               std::size_t head, std::size_t limit,
                                               std::int64_t* counters, Value v) {
-  return scan_lags(cfg, ring, head, limit, counters, v);
+  return scan_lags<first_qualifying>(cfg, ring, head, limit, counters, v);
 }
 
 [[gnu::target("avx512f,avx512vl")]] std::size_t scan_avx512(const DpdConfig& cfg,
                                                             const Value* ring, std::size_t head,
                                                             std::size_t limit,
                                                             std::int64_t* counters, Value v) {
-  return scan_lags(cfg, ring, head, limit, counters, v);
+  return scan_lags<first_qualifying>(cfg, ring, head, limit, counters, v);
 }
 #endif
 

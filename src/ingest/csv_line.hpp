@@ -9,12 +9,12 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <istream>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -200,49 +200,55 @@ struct Cursor {
   }
 };
 
-template <typename T>
-[[nodiscard]] T parse_int(std::string_view text, const char* field, const Cursor& at) {
-  T value{};
-  const auto* begin = text.data();
-  const auto* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    at.reject(field, "malformed integer '" + std::string(text) + "'");
+/// The one integer lexer of the ingest grammar: `-?[0-9]+` at `p`, up to
+/// the first byte that is not part of it. Any number of leading zeros is
+/// allowed; no `+` and no whitespace. The value must fit int64 exactly, so
+/// the lexer accepts what std::from_chars<std::int64_t> accepts. On
+/// success `p` moves past the integer and `out` holds it.
+[[nodiscard]] inline bool lex_int(const char*& p, const char* end, std::int64_t& out) noexcept {
+  const char* s = p;
+  const bool negative = s != end && *s == '-';
+  s += negative ? 1 : 0;
+  const char* const digits = s;
+  std::uint64_t magnitude = 0;
+  while (s != end && static_cast<unsigned char>(*s - '0') < 10) {
+    magnitude = magnitude * 10 + static_cast<unsigned char>(*s - '0');
+    ++s;
+  }
+  if (s == digits) {
+    return false;
+  }
+  // Leading zeros leave the magnitude at 0, so it is exact while there are
+  // at most 19 significant digits; 20 or more are out of range.
+  if (s - digits > 19 && s - std::find_if(digits, s, [](char c) { return c != '0'; }) > 19) {
+    return false;
+  }
+  if (magnitude > (std::uint64_t{1} << 63) - (negative ? 0 : 1)) {
+    return false;
+  }
+  out = static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude);
+  p = s;
+  return true;
+}
+
+/// The whole of `text` as one integer, or nullopt.
+[[nodiscard]] inline std::optional<std::int64_t> decode_int(std::string_view text) noexcept {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  std::int64_t value = 0;
+  if (!lex_int(p, end, value) || p != end) {
+    return std::nullopt;
   }
   return value;
 }
 
-template <typename T>
-[[nodiscard]] T parse_in_range(std::string_view text, const char* field, T lo, T hi_exclusive,
-                               const Cursor& at) {
-  const T value = parse_int<T>(text, field, at);
-  if (value < lo || value >= hi_exclusive) {
-    at.reject(field, "value " + std::to_string(value) + " outside [" + std::to_string(lo) + ", " +
-                         std::to_string(hi_exclusive) + ")");
-  }
-  return value;
+[[nodiscard]] inline bool fits_int32(std::int64_t v) noexcept {
+  return v >= std::numeric_limits<std::int32_t>::min() &&
+         v <= std::numeric_limits<std::int32_t>::max();
 }
 
-/// Rank-valued field: non-negative, and under the declared rank count when
-/// the file carries a `# nranks` directive (otherwise bounds are inferred
-/// after the parse). `min` is -1 for sender fields (kUnresolvedSender).
-[[nodiscard]] inline std::int32_t parse_rank(std::string_view text, const char* field,
-                                             std::int32_t min,
-                                             const std::optional<int>& declared_nranks,
-                                             const Cursor& at) {
-  const auto value = parse_int<std::int32_t>(text, field, at);
-  if (value < min) {
-    at.reject(field, "rank " + std::to_string(value) + " below " + std::to_string(min));
-  }
-  if (value >= kMaxRanks) {
-    at.reject(field, "rank " + std::to_string(value) + " above the supported maximum " +
-                         std::to_string(kMaxRanks - 1));
-  }
-  if (declared_nranks && value >= *declared_nranks) {
-    at.reject(field, "rank " + std::to_string(value) + " outside declared nranks " +
-                         std::to_string(*declared_nranks));
-  }
-  return value;
+[[nodiscard]] inline std::string malformed(std::string_view text) {
+  return "malformed integer '" + std::string(text) + "'";
 }
 
 /// Handles one pre-header `#` line. Directives are `# key: value`;
@@ -261,7 +267,11 @@ inline void handle_directive(std::string_view body, std::optional<int>& declared
                                      "' (supported: " + std::string(kSupportedVersion) + ")");
     }
   } else if (key == "nranks") {
-    const int n = parse_int<int>(value, "nranks", at);
+    const auto decoded = decode_int(value);
+    if (!decoded || !fits_int32(*decoded)) {
+      at.reject("nranks", malformed(value));
+    }
+    const auto n = static_cast<int>(*decoded);
     if (n < 1) {
       at.reject("nranks", "declared rank count " + std::to_string(n) + " must be at least 1");
     }
@@ -298,33 +308,6 @@ struct HeaderInfo {
                     std::string(kNativeHeader) + "' or '" + std::string(kFlatHeader) + "[,kind]')");
 }
 
-[[nodiscard]] inline std::size_t expected_fields(const HeaderInfo& header) {
-  return header.dialect == Dialect::Native ? 7 : (header.flat_has_kind ? 5 : 4);
-}
-
-/// The widest row either dialect has (native).
-inline constexpr std::size_t kMaxFields = 7;
-using Fields = std::array<std::string_view, kMaxFields>;
-
-/// Splits on ',' without collapsing empty fields ("a,,b" -> {"a","","b"})
-/// and without allocating: the first kMaxFields land in `fields`, and the
-/// return value counts them all, so an over-wide row is still measured.
-[[nodiscard]] inline std::size_t split(std::string_view line, Fields& fields) {
-  std::size_t count = 0;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (count < kMaxFields) {
-      fields[count] = line.substr(start, comma == std::string_view::npos ? comma : comma - start);
-    }
-    ++count;
-    if (comma == std::string_view::npos) {
-      return count;
-    }
-    start = comma + 1;
-  }
-}
-
 /// One fully validated data line, in either dialect's terms: the receiving
 /// rank, the instrumentation level, and the record itself.
 struct Row {
@@ -333,46 +316,194 @@ struct Row {
   trace::Record rec;
 };
 
+/// What a decoded field must satisfy, beyond being an integer.
+enum class FieldCheck : std::uint8_t {
+  Int64,  // any int64
+  Bytes,  // int64, not negative
+  Enum,   // int32 in [lo, hi)
+  Rank,   // int32, at least lo, below kMaxRanks and any declared rank count
+};
+
+struct FieldSpec {
+  std::string_view name;
+  FieldCheck check = FieldCheck::Int64;
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
+};
+
+/// The row grammar of both dialects: each data line is exactly these
+/// comma-separated integers, in this order. Sender fields take -1
+/// (kUnresolvedSender) only in native files.
+inline constexpr std::array<FieldSpec, 7> kNativeFields = {{
+    {.name = "rank", .check = FieldCheck::Rank},
+    {.name = "level", .check = FieldCheck::Enum, .hi = trace::kNumLevels},
+    {.name = "time_ns"},
+    {.name = "sender", .check = FieldCheck::Rank, .lo = trace::kUnresolvedSender},
+    {.name = "bytes", .check = FieldCheck::Bytes},
+    {.name = "kind", .check = FieldCheck::Enum, .hi = 2},
+    {.name = "op", .check = FieldCheck::Enum, .hi = trace::kNumOps},
+}};
+/// Flat rows are the first four of these, or all five with a kind column.
+inline constexpr std::array<FieldSpec, 5> kFlatFields = {{
+    {.name = "time_ns"},
+    {.name = "sender", .check = FieldCheck::Rank},
+    {.name = "receiver", .check = FieldCheck::Rank},
+    {.name = "bytes", .check = FieldCheck::Bytes},
+    {.name = "kind", .check = FieldCheck::Enum, .hi = 2},
+}};
+inline constexpr std::size_t kMaxFields = kNativeFields.size();
+
+[[nodiscard]] inline std::span<const FieldSpec> fields_of(const HeaderInfo& header) {
+  if (header.dialect == Dialect::Native) {
+    return kNativeFields;
+  }
+  return std::span(kFlatFields).first(header.flat_has_kind ? 5 : 4);
+}
+
+/// The first check a decoded field fails, in diagnostic order.
+enum class Fault : std::uint8_t {
+  None,
+  Malformed,       // not an integer of the field's width
+  Negative,        // Bytes below 0
+  OutOfRange,      // Enum outside [lo, hi)
+  RankBelow,       // Rank below lo
+  RankAboveMax,    // Rank at or above kMaxRanks
+  RankUndeclared,  // Rank at or above the declared rank count
+};
+
+[[nodiscard]] inline Fault check_field(const FieldSpec& spec, std::int64_t v,
+                                       const std::optional<int>& declared_nranks) noexcept {
+  switch (spec.check) {
+    case FieldCheck::Int64:
+      return Fault::None;
+    case FieldCheck::Bytes:
+      return v < 0 ? Fault::Negative : Fault::None;
+    case FieldCheck::Enum:
+      if (!fits_int32(v)) {
+        return Fault::Malformed;
+      }
+      return v < spec.lo || v >= spec.hi ? Fault::OutOfRange : Fault::None;
+    case FieldCheck::Rank:
+      if (!fits_int32(v)) {
+        return Fault::Malformed;
+      }
+      if (v < spec.lo) {
+        return Fault::RankBelow;
+      }
+      if (v >= kMaxRanks) {
+        return Fault::RankAboveMax;
+      }
+      return declared_nranks && v >= *declared_nranks ? Fault::RankUndeclared : Fault::None;
+  }
+  return Fault::None;
+}
+
+/// The hot path of parse_row: one walk over the line that decodes the
+/// first N fields of `specs` into `v` and checks them. False if anything is wrong; which
+/// fault comes first is reject_row's business.
+template <std::size_t N, std::size_t M>
+[[nodiscard, gnu::always_inline]] inline bool scan_fields(
+    std::string_view line, const std::array<FieldSpec, M>& specs,
+    const std::optional<int>& declared_nranks, std::array<std::int64_t, kMaxFields>& v) noexcept {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (std::size_t i = 0; i < N; ++i) {
+    if (!lex_int(p, end, v[i])) {
+      return false;
+    }
+    if (i + 1 < N) {
+      if (p == end || *p != ',') {
+        return false;
+      }
+      ++p;
+    }
+  }
+  bool ok = p == end;
+  for (std::size_t i = 0; i < N; ++i) {
+    ok &= check_field(specs[i], v[i], declared_nranks) == Fault::None;
+  }
+  return ok;
+}
+
+/// The cold path of parse_row: re-walks a line the scan refused and throws
+/// its first fault. A wrong field count comes before any field; then the
+/// fields in file order, each one's checks in check_field's order.
+[[noreturn, gnu::cold, gnu::noinline]] inline void reject_row(
+    std::string_view line, const HeaderInfo& header, const std::optional<int>& declared_nranks,
+    const Cursor& at) {
+  const std::span<const FieldSpec> specs = fields_of(header);
+  const auto count = static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) + 1;
+  if (count != specs.size()) {
+    at.reject("", "has " + std::to_string(count) + " fields, expected " +
+                      std::to_string(specs.size()));
+  }
+  std::size_t start = 0;
+  for (const FieldSpec& spec : specs) {
+    const std::size_t comma = std::min(line.find(',', start), line.size());
+    const std::string_view text = line.substr(start, comma - start);
+    start = comma + 1;
+    const auto decoded = decode_int(text);
+    const std::int64_t v = decoded.value_or(0);
+    const std::string field(spec.name);
+    const std::string value = std::to_string(v);
+    switch (decoded ? check_field(spec, v, declared_nranks) : Fault::Malformed) {
+      case Fault::None:
+        continue;
+      case Fault::Malformed:
+        at.reject(field, malformed(text));
+      case Fault::Negative:
+        at.reject(field, "negative byte count " + value);
+      case Fault::OutOfRange:
+        at.reject(field, "value " + value + " outside [" + std::to_string(spec.lo) + ", " +
+                             std::to_string(spec.hi) + ")");
+      case Fault::RankBelow:
+        at.reject(field, "rank " + value + " below " + std::to_string(spec.lo));
+      case Fault::RankAboveMax:
+        at.reject(field, "rank " + value + " above the supported maximum " +
+                             std::to_string(kMaxRanks - 1));
+      case Fault::RankUndeclared:
+        at.reject(field, "rank " + value + " outside declared nranks " +
+                             std::to_string(*declared_nranks));
+    }
+  }
+  // scan_fields refuses a line only for a fault found above.
+  at.reject("", "row refused without a fault (grammar bug)");
+}
+
 /// Parses and validates one data line (CR already stripped, not a comment
 /// or blank); throws IngestError with the exact field and reason on any
 /// malformed content.
 [[nodiscard]] inline Row parse_row(std::string_view line, const HeaderInfo& header,
                                    const std::optional<int>& declared_nranks, const Cursor& at) {
+  std::array<std::int64_t, kMaxFields> v;
   Row row;
-  Fields fields;
-  const std::size_t count = split(line, fields);
-  if (count != expected_fields(header)) {
-    at.reject("", "has " + std::to_string(count) + " fields, expected " +
-                      std::to_string(expected_fields(header)));
-  }
   if (header.dialect == Dialect::Native) {
-    row.rank = parse_rank(fields[0], "rank", 0, declared_nranks, at);
-    row.level = static_cast<trace::Level>(
-        parse_in_range<int>(fields[1], "level", 0, trace::kNumLevels, at));
-    row.rec.time = sim::SimTime{parse_int<std::int64_t>(fields[2], "time_ns", at)};
-    row.rec.sender =
-        parse_rank(fields[3], "sender", trace::kUnresolvedSender, declared_nranks, at);
-    row.rec.bytes = parse_int<std::int64_t>(fields[4], "bytes", at);
-    if (row.rec.bytes < 0) {
-      at.reject("bytes", "negative byte count " + std::to_string(row.rec.bytes));
+    if (!scan_fields<kNativeFields.size()>(line, kNativeFields, declared_nranks, v)) {
+      reject_row(line, header, declared_nranks, at);
     }
-    row.rec.kind = static_cast<trace::OpKind>(parse_in_range<int>(fields[5], "kind", 0, 2, at));
-    row.rec.op =
-        static_cast<trace::Op>(parse_in_range<int>(fields[6], "op", 0, trace::kNumOps, at));
-  } else {
-    row.rec.time = sim::SimTime{parse_int<std::int64_t>(fields[0], "time_ns", at)};
-    row.rec.sender = parse_rank(fields[1], "sender", 0, declared_nranks, at);
-    row.rank = parse_rank(fields[2], "receiver", 0, declared_nranks, at);
-    row.level = trace::Level::Physical;
-    row.rec.bytes = parse_int<std::int64_t>(fields[3], "bytes", at);
-    if (row.rec.bytes < 0) {
-      at.reject("bytes", "negative byte count " + std::to_string(row.rec.bytes));
-    }
-    if (header.flat_has_kind) {
-      row.rec.kind = static_cast<trace::OpKind>(parse_in_range<int>(fields[4], "kind", 0, 2, at));
-    }
-    row.rec.op = trace::Op::Recv;
+    row.rank = static_cast<int>(v[0]);
+    row.level = static_cast<trace::Level>(v[1]);
+    row.rec.time = sim::SimTime{v[2]};
+    row.rec.sender = static_cast<std::int32_t>(v[3]);
+    row.rec.bytes = v[4];
+    row.rec.kind = static_cast<trace::OpKind>(v[5]);
+    row.rec.op = static_cast<trace::Op>(v[6]);
+    return row;
   }
+  const bool ok = header.flat_has_kind ? scan_fields<5>(line, kFlatFields, declared_nranks, v)
+                                       : scan_fields<4>(line, kFlatFields, declared_nranks, v);
+  if (!ok) {
+    reject_row(line, header, declared_nranks, at);
+  }
+  row.rec.time = sim::SimTime{v[0]};
+  row.rec.sender = static_cast<std::int32_t>(v[1]);
+  row.rank = static_cast<int>(v[2]);
+  row.level = trace::Level::Physical;
+  row.rec.bytes = v[3];
+  if (header.flat_has_kind) {
+    row.rec.kind = static_cast<trace::OpKind>(v[4]);
+  }
+  row.rec.op = trace::Op::Recv;
   return row;
 }
 

@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <variant>
 
 #include "apps/app.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
+#include "ingest/csv_line.hpp"
 #include "ingest/csv_source.hpp"
 #include "ingest/replay.hpp"
 #include "ingest/source.hpp"
@@ -203,6 +207,355 @@ TEST(CsvSource, EmptyFileNeedsHeader) {
   const Diagnostic d = reject("# just a comment\n");
   EXPECT_EQ(d.line, 0u);
   EXPECT_NE(d.reason.find("header"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// CsvGrammar: the fused row scanner of csv_line.hpp against a reference copy
+// of the former row parser (split on ',', then std::from_chars and a range
+// check per field), which fixes what the grammar accepts and which
+// diagnostic every rejected line gets.
+
+namespace reference {
+
+using csv_line::Cursor;
+using csv_line::Dialect;
+using csv_line::HeaderInfo;
+using csv_line::kMaxRanks;
+using csv_line::Row;
+
+template <typename T>
+[[nodiscard]] T parse_int(std::string_view text, const char* field, const Cursor& at) {
+  T value{};
+  const auto* begin = text.data();
+  const auto* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec != std::errc{} || ptr != end) {
+    at.reject(field, "malformed integer '" + std::string(text) + "'");
+  }
+  return value;
+}
+
+template <typename T>
+[[nodiscard]] T parse_in_range(std::string_view text, const char* field, T lo, T hi_exclusive,
+                               const Cursor& at) {
+  const T value = parse_int<T>(text, field, at);
+  if (value < lo || value >= hi_exclusive) {
+    at.reject(field, "value " + std::to_string(value) + " outside [" + std::to_string(lo) + ", " +
+                         std::to_string(hi_exclusive) + ")");
+  }
+  return value;
+}
+
+/// Rank-valued field: non-negative, and under the declared rank count when
+/// the file carries a `# nranks` directive (otherwise bounds are inferred
+/// after the parse). `min` is -1 for sender fields (kUnresolvedSender).
+[[nodiscard]] inline std::int32_t parse_rank(std::string_view text, const char* field,
+                                             std::int32_t min,
+                                             const std::optional<int>& declared_nranks,
+                                             const Cursor& at) {
+  const auto value = parse_int<std::int32_t>(text, field, at);
+  if (value < min) {
+    at.reject(field, "rank " + std::to_string(value) + " below " + std::to_string(min));
+  }
+  if (value >= kMaxRanks) {
+    at.reject(field, "rank " + std::to_string(value) + " above the supported maximum " +
+                         std::to_string(kMaxRanks - 1));
+  }
+  if (declared_nranks && value >= *declared_nranks) {
+    at.reject(field, "rank " + std::to_string(value) + " outside declared nranks " +
+                         std::to_string(*declared_nranks));
+  }
+  return value;
+}
+
+/// The `# nranks` value check of the former directive parser.
+[[nodiscard]] inline int parse_nranks(std::string_view value, const Cursor& at) {
+  const int n = parse_int<int>(value, "nranks", at);
+  if (n < 1) {
+    at.reject("nranks", "declared rank count " + std::to_string(n) + " must be at least 1");
+  }
+  if (n > kMaxRanks) {
+    at.reject("nranks", "declared rank count " + std::to_string(n) +
+                            " above the supported maximum " + std::to_string(kMaxRanks));
+  }
+  return n;
+}
+
+[[nodiscard]] inline std::size_t expected_fields(const HeaderInfo& header) {
+  return header.dialect == Dialect::Native ? 7 : (header.flat_has_kind ? 5 : 4);
+}
+
+/// The widest row either dialect has (native).
+inline constexpr std::size_t kMaxFields = 7;
+using Fields = std::array<std::string_view, kMaxFields>;
+
+/// Splits on ',' without collapsing empty fields ("a,,b" -> {"a","","b"})
+/// and without allocating: the first kMaxFields land in `fields`, and the
+/// return value counts them all, so an over-wide row is still measured.
+[[nodiscard]] inline std::size_t split(std::string_view line, Fields& fields) {
+  std::size_t count = 0;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = line.find(',', start);
+    if (count < kMaxFields) {
+      fields[count] = line.substr(start, comma == std::string_view::npos ? comma : comma - start);
+    }
+    ++count;
+    if (comma == std::string_view::npos) {
+      return count;
+    }
+    start = comma + 1;
+  }
+}
+
+/// Parses and validates one data line (CR already stripped, not a comment
+/// or blank); throws IngestError with the exact field and reason on any
+/// malformed content.
+[[nodiscard]] inline Row parse_row(std::string_view line, const HeaderInfo& header,
+                                   const std::optional<int>& declared_nranks, const Cursor& at) {
+  Row row;
+  Fields fields;
+  const std::size_t count = split(line, fields);
+  if (count != expected_fields(header)) {
+    at.reject("", "has " + std::to_string(count) + " fields, expected " +
+                      std::to_string(expected_fields(header)));
+  }
+  if (header.dialect == Dialect::Native) {
+    row.rank = parse_rank(fields[0], "rank", 0, declared_nranks, at);
+    row.level = static_cast<trace::Level>(
+        parse_in_range<int>(fields[1], "level", 0, trace::kNumLevels, at));
+    row.rec.time = sim::SimTime{parse_int<std::int64_t>(fields[2], "time_ns", at)};
+    row.rec.sender =
+        parse_rank(fields[3], "sender", trace::kUnresolvedSender, declared_nranks, at);
+    row.rec.bytes = parse_int<std::int64_t>(fields[4], "bytes", at);
+    if (row.rec.bytes < 0) {
+      at.reject("bytes", "negative byte count " + std::to_string(row.rec.bytes));
+    }
+    row.rec.kind = static_cast<trace::OpKind>(parse_in_range<int>(fields[5], "kind", 0, 2, at));
+    row.rec.op =
+        static_cast<trace::Op>(parse_in_range<int>(fields[6], "op", 0, trace::kNumOps, at));
+  } else {
+    row.rec.time = sim::SimTime{parse_int<std::int64_t>(fields[0], "time_ns", at)};
+    row.rec.sender = parse_rank(fields[1], "sender", 0, declared_nranks, at);
+    row.rank = parse_rank(fields[2], "receiver", 0, declared_nranks, at);
+    row.level = trace::Level::Physical;
+    row.rec.bytes = parse_int<std::int64_t>(fields[3], "bytes", at);
+    if (row.rec.bytes < 0) {
+      at.reject("bytes", "negative byte count " + std::to_string(row.rec.bytes));
+    }
+    if (header.flat_has_kind) {
+      row.rec.kind = static_cast<trace::OpKind>(parse_in_range<int>(fields[4], "kind", 0, 2, at));
+    }
+    row.rec.op = trace::Op::Recv;
+  }
+  return row;
+}
+
+}  // namespace reference
+
+/// A parse's outcome: the row, or the diagnostic it threw.
+using Outcome = std::variant<csv_line::Row, Diagnostic>;
+
+template <typename Parse>
+Outcome outcome_of(const Parse& parse) {
+  try {
+    return parse();
+  } catch (const IngestError& e) {
+    return e.where();
+  }
+}
+
+std::string describe(const Outcome& o) {
+  if (const auto* d = std::get_if<Diagnostic>(&o)) {
+    return to_string(*d);
+  }
+  const auto& row = std::get<csv_line::Row>(o);
+  std::ostringstream os;
+  os << "row rank " << row.rank << " level " << static_cast<int>(row.level);
+  os << " time " << row.rec.time.count() << " sender " << row.rec.sender;
+  os << " bytes " << row.rec.bytes << " kind " << static_cast<int>(row.rec.kind);
+  os << " op " << static_cast<int>(row.rec.op);
+  return os.str();
+}
+
+bool same(const Outcome& a, const Outcome& b) {
+  if (a.index() != b.index()) {
+    return false;
+  }
+  if (const auto* d = std::get_if<Diagnostic>(&a)) {
+    return to_string(*d) == to_string(std::get<Diagnostic>(b));
+  }
+  const auto& ra = std::get<csv_line::Row>(a);
+  const auto& rb = std::get<csv_line::Row>(b);
+  return ra.rank == rb.rank && ra.level == rb.level && ra.rec == rb.rec;
+}
+
+std::string mismatch(const Outcome& want, const Outcome& got) {
+  return "\n  reference: " + describe(want) + "\n  scanner:   " + describe(got);
+}
+
+struct GrammarTally {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+};
+
+/// Runs `line` through both parsers under `header` and `declared`; the
+/// outcomes must be identical.
+void expect_same_verdict(const std::string& line, const csv_line::HeaderInfo& header,
+                         const std::optional<int>& declared, GrammarTally& tally) {
+  const std::string file = "<grammar>";
+  const csv_line::Cursor at{.file = file, .line = 7};
+  const auto old_parser = [&] { return reference::parse_row(line, header, declared, at); };
+  const auto scanner = [&] { return csv_line::parse_row(line, header, declared, at); };
+  const Outcome want = outcome_of(old_parser);
+  const Outcome got = outcome_of(scanner);
+  ++(want.index() == 0 ? tally.accepted : tally.rejected);
+  const std::string nranks = declared ? std::to_string(*declared) : "none";
+  EXPECT_TRUE(same(want, got)) << "'" << line << "' nranks " << nranks << mismatch(want, got);
+}
+
+const csv_line::HeaderInfo kGrammarHeaders[] = {
+    {.dialect = csv_line::Dialect::Native},
+    {.dialect = csv_line::Dialect::Flat},
+    {.dialect = csv_line::Dialect::Flat, .flat_has_kind = true},
+};
+
+const std::optional<int> kGrammarDeclared[] = {std::nullopt, 1, 16, csv_line::kMaxRanks};
+
+/// Field values at the edges of the grammar: signs, leading zeros, the
+/// int32, rank-ceiling and int64 limits, and bytes that are not part of
+/// an integer.
+const std::vector<std::string> kEdgeTokens = [] {
+  std::vector<std::string> t = {"0", "1", "-1", "-0", "+1", "--1", "-", "+", "", "00", "007"};
+  t.insert(t.end(), {"-007", std::string(40, '0') + "15", "15", "16", "17"});
+  t.insert(t.end(), {"2147483647", "2147483648", "-2147483648", "-2147483649", "4294967296"});
+  t.insert(t.end(), {"4194303", "4194304", "-4194304"});
+  t.insert(t.end(), {"9223372036854775807", "9223372036854775808", "-9223372036854775808"});
+  t.insert(t.end(), {"-9223372036854775809", "09223372036854775807", "-0009223372036854775808"});
+  t.insert(t.end(), {"9999999999999999999", "10000000000000000000", "18446744073709551615"});
+  t.insert(t.end(), {"18446744073709551616", "123456789012345678901234567890"});
+  t.insert(t.end(), {" 1", "1 ", "\t1", "1\t", " ", "1\r", "\r", "1 2", "-\t1", "1-"});
+  t.insert(t.end(), {"1a", "a1", "0x10", "1e3", "1.0"});
+  return t;
+}();
+
+/// The fields of a valid data line of `header`'s dialect, small random values.
+std::vector<std::string> valid_fields(const csv_line::HeaderInfo& header, std::mt19937_64& rng) {
+  const auto pick = [&](std::uint64_t n) { return std::to_string(rng() % n); };
+  const std::string time = std::to_string(rng() % 4'000'000'000'000);
+  const std::string bytes = rng() % 3 == 0 ? "0" : pick(1'000'000);
+  if (header.dialect == csv_line::Dialect::Native) {
+    const std::string sender = rng() % 5 == 0 ? "-1" : pick(16);
+    const std::string level = pick(trace::kNumLevels);
+    return {pick(16), level, time, sender, bytes, pick(2), pick(trace::kNumOps)};
+  }
+  std::vector<std::string> fields = {time, pick(16), pick(16), bytes};
+  if (header.flat_has_kind) {
+    fields.push_back(pick(2));
+  }
+  return fields;
+}
+
+std::string join_fields(const std::vector<std::string>& fields) {
+  std::string line;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    line += (i == 0 ? "" : ",") + fields[i];
+  }
+  return line;
+}
+
+TEST(CsvGrammar, EdgeTokensInEveryFieldMatchReference) {
+  std::mt19937_64 rng(1801);
+  GrammarTally tally;
+  for (const auto& header : kGrammarHeaders) {
+    const std::vector<std::string> base = valid_fields(header, rng);
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      for (const std::string& token : kEdgeTokens) {
+        std::vector<std::string> fields = base;
+        fields[i] = token;
+        for (const auto& declared : kGrammarDeclared) {
+          expect_same_verdict(join_fields(fields), header, declared, tally);
+        }
+      }
+    }
+    // Missing, empty and extra fields.
+    for (std::size_t n = 0; n <= base.size() + 2; ++n) {
+      std::vector<std::string> fields = base;
+      fields.resize(n, "1");
+      expect_same_verdict(join_fields(fields), header, std::nullopt, tally);
+      expect_same_verdict(join_fields(fields) + ",", header, std::nullopt, tally);
+    }
+    expect_same_verdict(",,,,,,", header, std::nullopt, tally);
+  }
+  EXPECT_GT(tally.accepted, 100u);
+  EXPECT_GT(tally.rejected, 1000u);
+}
+
+TEST(CsvGrammar, SeededMutationsOfValidRowsMatchReference) {
+  std::mt19937_64 rng(1802);
+  const std::string alphabet = "0123456789-+, \t\rx";
+  GrammarTally tally;
+  for (int iter = 0; iter < 40000; ++iter) {
+    const auto& header = kGrammarHeaders[rng() % 3];
+    std::vector<std::string> fields = valid_fields(header, rng);
+    for (std::uint64_t edits = rng() % 3; edits > 0; --edits) {
+      const std::size_t i = rng() % fields.size();
+      const auto at = fields.begin() + static_cast<std::ptrdiff_t>(i);
+      switch (rng() % 6) {
+        case 0:
+          fields[i] = kEdgeTokens[rng() % kEdgeTokens.size()];
+          break;
+        case 1:
+          fields[i] = std::string(rng() % 25, '0') + fields[i];
+          break;
+        case 2:
+          fields[i] = "-" + fields[i];
+          break;
+        case 3:
+          fields.erase(at);
+          if (fields.empty()) {
+            fields.emplace_back();
+          }
+          break;
+        case 4:
+          fields.insert(at, fields[i]);
+          break;
+        default:
+          fields[i].insert(rng() % (fields[i].size() + 1), 1, alphabet[rng() % alphabet.size()]);
+          break;
+      }
+    }
+    std::string line = join_fields(fields);
+    if (rng() % 8 == 0 && !line.empty()) {
+      line.erase(rng() % line.size(), 1);  // a byte gone, commas included
+    }
+    expect_same_verdict(line, header, kGrammarDeclared[rng() % 4], tally);
+  }
+  EXPECT_GT(tally.accepted, 5000u);
+  EXPECT_GT(tally.rejected, 5000u);
+}
+
+TEST(CsvGrammar, NranksDirectiveMatchesReference) {
+  const std::string file = "<grammar>";
+  const csv_line::Cursor at{.file = file, .line = 1};
+  // The declared count rides in a row's rank field.
+  for (const std::string& token : kEdgeTokens) {
+    const auto old_parser = [&] {
+      csv_line::Row row;
+      row.rank = reference::parse_nranks(csv_line::trim(token), at);
+      return row;
+    };
+    const auto scanner = [&] {
+      std::optional<int> declared;
+      csv_line::handle_directive("nranks: " + token, declared, at);
+      csv_line::Row row;
+      row.rank = declared.value_or(-1);
+      return row;
+    };
+    const Outcome want = outcome_of(old_parser);
+    const Outcome got = outcome_of(scanner);
+    EXPECT_TRUE(same(want, got)) << "nranks '" << token << "'" << mismatch(want, got);
+  }
 }
 
 TEST(FormatRegistry, PluggableFormatsDispatchByProbe) {
