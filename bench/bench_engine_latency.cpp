@@ -4,17 +4,15 @@
 // arriving message for the online path, batched feeds for replay, and
 // multi-tenant sessions through a PredictionServer.
 //
-// Three dispatch modes are measured on identical event sequences:
+// Two dispatch modes are measured on identical event sequences:
 //   inline      shards=1 — no dispatch at all (the floor)
-//   spawn       one std::thread per non-empty shard per feed (the
-//               pre-resident baseline this PR replaces)
-//   persistent  resident workers woken per feed (the new default)
+//   persistent  resident workers woken per feed
 // with min_parallel_batch=1 so even single-event feeds take the dispatch
-// path — the honest cost comparison the resident pool exists to win.
+// path.
 //
-// Gates (exit 2): the three modes and every batch size must produce
-// byte-identical reports, every tenant's session report must equal the
-// single-tenant engine's, and the persistent p99 must beat spawn.
+// Gates (exit 2): both modes and every batch size must produce
+// byte-identical reports, and every tenant's session report must equal the
+// single-tenant engine's.
 //
 //   $ ./bench/bench_engine_latency [--predictor <name>] [--shards <n>]
 //       [--events <n>] [--tenants <n>] [--out <file>]
@@ -130,12 +128,9 @@ static int run(int argc, char** argv) {
   const std::size_t eff_shards = engine::effective_shard_count(shards);
   const auto events = synthetic_trace(nevents, 32);
 
-  const auto engine_config = [&](engine::FeedMode mode, std::size_t nshards,
-                                 std::size_t min_batch) {
-    return engine::EngineConfig{.predictor = arg.name,
-                                .shards = nshards,
-                                .feed = mode,
-                                .min_parallel_batch = min_batch};
+  const auto engine_config = [&](std::size_t nshards, std::size_t min_batch) {
+    return engine::EngineConfig{
+        .predictor = arg.name, .shards = nshards, .min_parallel_batch = min_batch};
   };
 
   std::printf("engine latency — predictor=%s shards=%zu events=%zu tenants=%zu\n\n", //
@@ -147,13 +142,12 @@ static int run(int argc, char** argv) {
     engine::EngineConfig cfg;
   };
   const Mode modes[] = {
-      {"inline", engine_config(engine::FeedMode::persistent, 1, 0)},
-      {"spawn", engine_config(engine::FeedMode::spawn, eff_shards, 1)},
-      {"persistent", engine_config(engine::FeedMode::persistent, eff_shards, 1)},
+      {"inline", engine_config(1, 0)},
+      {"persistent", engine_config(eff_shards, 1)},
   };
-  Percentiles single[3];
-  engine::EngineReport reports[3];
-  for (int m = 0; m < 3; ++m) {
+  Percentiles single[2];
+  engine::EngineReport reports[2];
+  for (int m = 0; m < 2; ++m) {
     engine::PredictionEngine eng(modes[m].cfg);
     auto samples = timed_feed(eng, events, 1);
     single[m] = percentiles(samples);
@@ -161,11 +155,10 @@ static int run(int argc, char** argv) {
     std::printf("single-event %-11s p50 %9.0f ns   p99 %9.0f ns   mean %9.0f ns\n",
                 modes[m].name, single[m].p50_ns, single[m].p99_ns, single[m].mean_ns);
   }
-  if (reports[1] != reports[0] || reports[2] != reports[0]) {
+  if (reports[1] != reports[0]) {
     return fail_gate("dispatch modes produced different reports");
   }
-  const double p99_speedup = single[2].p99_ns > 0.0 ? single[1].p99_ns / single[2].p99_ns : 0.0;
-  std::printf("\npersistent p99 speedup vs spawn: %.2fx\n\n", p99_speedup);
+  std::printf("\n");
 
   // --- Batch sweep: per-event cost vs batch size (persistent mode). ------
   const std::size_t batch_sizes[] = {1, 64, 512, 4096, 32768, 0};
@@ -177,7 +170,7 @@ static int run(int argc, char** argv) {
   };
   std::vector<BatchRow> sweep;
   for (const std::size_t batch : batch_sizes) {
-    engine::PredictionEngine eng(engine_config(engine::FeedMode::persistent, eff_shards, 1));
+    engine::PredictionEngine eng(engine_config(eff_shards, 1));
     auto samples = timed_feed(eng, events, batch);
     if (eng.report() != reports[0]) {
       return fail_gate("batch size changed the report");
@@ -197,8 +190,7 @@ static int run(int argc, char** argv) {
   }
 
   // --- Multi-tenant: interleaved sessions through one server. ------------
-  serve::PredictionServer server(
-      {.engine = engine_config(engine::FeedMode::persistent, eff_shards, 1)});
+  serve::PredictionServer server({.engine = engine_config(eff_shards, 1)});
   std::vector<std::shared_ptr<serve::Session>> sessions;
   for (std::size_t t = 0; t < tenants; ++t) {
     sessions.push_back(server.open_session());
@@ -237,10 +229,9 @@ static int run(int argc, char** argv) {
   json.key("tenants").value(tenants);
   json.end_object();
   json.key("single_event").begin_object();
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < 2; ++m) {
     write_percentiles(json, modes[m].name, single[m], nevents);
   }
-  json.key("p99_speedup_vs_spawn").value(p99_speedup);
   json.end_object();
   json.key("batch_sweep").begin_array();
   for (const BatchRow& row : sweep) {
@@ -262,7 +253,6 @@ static int run(int argc, char** argv) {
   json.key("modes_report_identical").value(true);
   json.key("batch_sizes_report_identical").value(true);
   json.key("sessions_match_engine").value(true);
-  json.key("persistent_p99_beats_spawn").value(p99_speedup > 1.0);
   json.end_object();
   json.end_object();
 
@@ -274,10 +264,6 @@ static int run(int argc, char** argv) {
   std::fprintf(out, "%s\n", json.str().c_str());
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (p99_speedup <= 1.0) {
-    return fail_gate("persistent p99 did not beat the spawn baseline");
-  }
   return 0;
 }
 

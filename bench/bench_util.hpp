@@ -159,7 +159,7 @@ inline std::vector<std::size_t> gate_shard_sweep(std::size_t shards) {
   return sweep;
 }
 
-/// Opens a trace through the format registry, printing the diagnostic and
+/// Opens a CSV trace (ingest::open_trace), printing the diagnostic and
 /// exiting 1 on failure — the shared open boilerplate of every `--trace`
 /// consumer (predict_nas, bench_adaptive, replay_trace).
 inline std::unique_ptr<ingest::TraceSource> open_trace_or_exit(const std::string& path) {

@@ -65,7 +65,7 @@ struct TraceReplay {
 ///    gate_shard_sweep(cfg.shards) and the gate batch sizes;
 ///  * serve: the session's report equals the invariance reference;
 ///  * round trip: a write_csv export of the source's store re-ingests to
-///    the same events (formats that keep a store only).
+///    the same events.
 /// Throws mpipred::Error when the input cannot be ingested.
 [[nodiscard]] inline TraceReplay replay_trace_gated(const ingest::TraceSource& source,
                                                     const TraceFlags& flags,
@@ -111,11 +111,9 @@ struct TraceReplay {
     }
     out.levels.push_back(std::move(tl));
   }
-  if (const trace::TraceStore* store = source.store()) {
-    const auto round_trip = ingest::verify_csv_round_trip(*store);
-    if (!round_trip.ok) {
-      return failed("round-trip gate: " + round_trip.detail);
-    }
+  const auto round_trip = ingest::verify_csv_round_trip(source.store());
+  if (!round_trip.ok) {
+    return failed("round-trip gate: " + round_trip.detail);
   }
   return out;
 }

@@ -106,8 +106,6 @@ int replay_trace(const std::string& path, const engine::EngineConfig& cfg,
   const auto source = bench::open_trace_or_exit(path);
   std::printf("replaying %s (format %s, %d ranks), predictor %s...\n", path.c_str(),
               std::string(source->format()).c_str(), source->nranks(), cfg.predictor.c_str());
-  const trace::TraceStore* store = source->store();
-
   // The server's sessions report into this registry when `--emit-metrics`
   // is given; the gates' reference engines stay metrics-free, so the
   // session-vs-reference serve gate doubles as the telemetry on/off gate.
@@ -126,9 +124,7 @@ int replay_trace(const std::string& path, const engine::EngineConfig& cfg,
   const bench::TraceReplay replay = bench::replay_trace_or_exit(*source, flags, server, cfg);
 
   const int rep = !flags.transforms.active()
-                      ? (store == nullptr
-                             ? -1
-                             : trace::representative_rank(*store, source->levels().front()))
+                      ? trace::representative_rank(source->store(), source->levels().front())
                       : busiest_destination(replay.levels.front().session.report);
   std::printf("  representative process: %d\n\n", rep);
 

@@ -41,7 +41,7 @@ int run(int argc, char** argv) {
 
   // A different process (or a later analysis session) reloads the CSV.
   const auto source = ingest::open_trace(path);
-  const trace::TraceStore& store = *source->store();
+  const trace::TraceStore& store = source->store();
   std::printf("reloaded %zu logical + %zu physical records\n\n",
               store.total_records(trace::Level::Logical),
               store.total_records(trace::Level::Physical));

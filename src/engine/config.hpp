@@ -79,19 +79,6 @@ struct StreamKey {
   [[nodiscard]] auto operator<=>(const StreamKey&) const = default;
 };
 
-/// How parallel batches reach the shards. Either mode partitions the batch
-/// identically and drains each shard in feed order, so reports are
-/// byte-identical across modes — the mode only changes who runs the drain.
-enum class FeedMode {
-  /// Resident worker threads, one per shard, condition-signalled per feed
-  /// (the default): dispatch costs a wakeup, not a thread spawn.
-  persistent,
-  /// One std::thread spawned and joined per non-empty shard per feed — the
-  /// pre-resident behavior, kept as the measurable baseline
-  /// (bench_engine_latency) and as a zero-resident-thread fallback.
-  spawn,
-};
-
 struct EngineConfig {
   /// Registry name of the predictor family to instantiate per stream.
   std::string predictor = "dpd";
@@ -101,8 +88,6 @@ struct EngineConfig {
   /// per hardware thread; 1 = the sequential path. Any value produces
   /// byte-identical reports — shards only change who does the work.
   std::size_t shards = 0;
-  /// Who drains parallel batches; never changes any report.
-  FeedMode feed = FeedMode::persistent;
   /// Batches smaller than this run inline on the caller's thread instead
   /// of being dispatched to the shard workers. 0 = the built-in default;
   /// 1 = dispatch everything (bench_engine_latency uses this to measure

@@ -33,8 +33,7 @@ StreamKey key_for(const Event& event, const KeyPolicy& policy) noexcept {
 namespace {
 
 ShardSetOptions shard_options(const EngineConfig& cfg) {
-  return {.feed = cfg.feed,
-          .min_parallel_batch = cfg.min_parallel_batch,
+  return {.min_parallel_batch = cfg.min_parallel_batch,
           .metrics = cfg.metrics,
           .metric_labels = cfg.metric_labels};
 }

@@ -1,9 +1,6 @@
 #include "engine/shard.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <system_error>
-#include <thread>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -165,7 +162,6 @@ void EngineShard::drain(const KeyPolicy& policy, std::uint64_t tick) {
 ShardSet::ShardSet(std::size_t shards, const core::Predictor& prototype, std::size_t horizon,
                    KeyPolicy policy, ShardSetOptions options)
     : policy_(policy),
-      mode_(options.feed),
       min_parallel_(options.min_parallel_batch == 0 ? kMinParallelBatch
                                                     : options.min_parallel_batch),
       pool_(options.pool),
@@ -201,7 +197,7 @@ std::size_t ShardSet::shard_index(std::uint64_t hash) const noexcept {
 std::uint64_t ShardSet::next_tick() noexcept {
   // One tick per feed call (not per event or per shard): the stamp is
   // identical no matter how the batch is partitioned, so recency ordering
-  // is deterministic across shard counts and feed modes.
+  // is deterministic across shard counts.
   return clock_->fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
@@ -229,11 +225,7 @@ void ShardSet::feed(std::span<const Event> events) {
     return;
   }
   partition(events);
-  if (mode_ == FeedMode::spawn) {
-    feed_spawn(tick);
-  } else {
-    feed_persistent(tick);
-  }
+  feed_persistent(tick);
   update_resident_gauge();
 }
 
@@ -267,41 +259,6 @@ void ShardSet::feed_persistent(std::uint64_t tick) {
   pool_->run(
       pending_, [this, tick](std::size_t worker) { shards_[worker + 1].drain(policy_, tick); },
       [this, tick] { shards_[0].drain(policy_, tick); });
-}
-
-void ShardSet::feed_spawn(std::uint64_t tick) {
-  std::vector<std::exception_ptr> errors(shards_.size());
-  const auto drain_into = [this, &errors, tick](std::size_t s) {
-    try {
-      shards_[s].drain(policy_, tick);
-    } catch (...) {
-      errors[s] = std::current_exception();
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(shards_.size() - 1);
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    if (shards_[s].batch().empty()) {
-      continue;
-    }
-    try {
-      workers.emplace_back(drain_into, s);
-    } catch (const std::system_error&) {
-      // Thread exhaustion must not lose work (or std::terminate via a
-      // joinable thread's destructor during unwinding): run this shard on
-      // the caller's thread instead.
-      drain_into(s);
-    }
-  }
-  drain_into(0);
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  }
 }
 
 std::optional<std::size_t> ShardSet::erase(const StreamKey& key) {

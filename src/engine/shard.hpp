@@ -140,12 +140,11 @@ class EngineShard {
 };
 
 /// Runtime wiring of a ShardSet beyond the stream-space partitioning: the
-/// feed mode, the resident pool and feed clock to use (owned when null —
+/// resident pool and feed clock to use (owned when null —
 /// the serve layer passes its shared ones so every tenant session reuses
 /// one set of worker threads and one recency clock), and the inline
 /// threshold.
 struct ShardSetOptions {
-  FeedMode feed = FeedMode::persistent;
   /// Batches below this run inline on the caller's thread; 0 = default.
   std::size_t min_parallel_batch = 0;
   /// Shared resident workers (must have >= shards - 1 slots and outlive
@@ -165,13 +164,11 @@ struct ShardSetOptions {
 
 /// Fixed set of shards hash-partitioning the stream space. feed() is the
 /// batched path: events are queued per shard, then all non-empty shards
-/// drain concurrently — on resident worker threads woken per feed
-/// (FeedMode::persistent, the caller's thread included) or on threads
-/// spawned per feed (FeedMode::spawn, the measurable baseline) — and are
-/// joined before feed returns; observe_one() is the online path on the
-/// caller's thread. Because a stream lives in exactly one shard and each
-/// shard consumes its queue in feed order, results never depend on shard
-/// count, feed mode, or thread interleaving.
+/// drain concurrently — on resident worker threads woken per feed, the
+/// caller's thread included — and are joined before feed returns;
+/// observe_one() is the online path on the caller's thread. Because a
+/// stream lives in exactly one shard and each shard consumes its queue in
+/// feed order, results never depend on shard count or thread interleaving.
 class ShardSet {
  public:
   /// `prototype` must outlive the set (the engine or server owns it).
@@ -212,12 +209,10 @@ class ShardSet {
   void observe_tick(const Event& event, std::uint64_t tick);
   void partition(std::span<const Event> events);
   void feed_persistent(std::uint64_t tick);
-  void feed_spawn(std::uint64_t tick);
   void update_resident_gauge() noexcept;
 
   KeyPolicy policy_;
   std::vector<EngineShard> shards_;
-  FeedMode mode_;
   std::size_t min_parallel_;
   WorkerPool* pool_;                        // resident workers actually used
   std::unique_ptr<WorkerPool> owned_pool_;  // set when options.pool was null

@@ -1,11 +1,12 @@
 #pragma once
 
-// Line-level reading and grammar of the two ingest CSV dialects, shared
-// by the materializing parser (csv_source.cpp) and the incremental
-// streaming reader (streaming.cpp), so the two paths can never drift on
-// how a file splits into lines or on what a valid preamble directive,
-// header, or data line is. Internal to src/ingest/; consumers outside the
-// ingest boundary go through TraceSource or EventStream instead.
+// Line-level reading and grammar of the two ingest CSV dialects (see
+// source.hpp), and scan_file, the one preamble/header/row loop that both
+// the materializing parser (source.cpp) and the incremental streaming
+// reader (streaming.cpp) run, so the two paths can never drift on how a
+// file splits into lines or on what a valid preamble directive, header,
+// or data line is. Internal to src/ingest/; consumers outside the ingest
+// boundary go through TraceSource or EventStream instead.
 
 #include <algorithm>
 #include <array>
@@ -38,7 +39,7 @@ inline constexpr std::string_view kSupportedVersion = "v1";
 /// magnitude beyond the largest real MPI jobs.
 inline constexpr std::int32_t kMaxRanks = 1 << 22;
 
-enum class Dialect { Native, Flat };
+enum class Dialect { Native, Flat };  // declared opaquely in source.hpp
 
 /// Where LineReader blocks come from: one stream that several readers may
 /// share. Offsets count bytes from where the stream stood when wrapped; a
@@ -505,6 +506,62 @@ template <std::size_t N, std::size_t M>
   }
   row.rec.op = trace::Op::Recv;
   return row;
+}
+
+/// What scan_file learned about a file besides its rows.
+struct FileScan {
+  HeaderInfo header{};
+  std::optional<int> declared_nranks;
+  /// Declared, or inferred as max rank (receiver or sender) + 1.
+  int nranks = 1;
+  /// Byte offset just past the header line, and the header's line number.
+  std::uint64_t data_start = 0;
+  std::size_t header_line = 0;
+};
+
+/// The one loop over a CSV trace: directives and comments up to the
+/// header, the header itself, then every data line validated by parse_row
+/// and handed to `on_row(const Row&, const Line&, Dialect)` in file order
+/// (blanks and comments between data lines skipped). Throws IngestError
+/// on the first malformed line, and at line 0 when there is no header.
+template <typename OnRow>
+FileScan scan_file(LineReader& lines, const std::string& file, OnRow&& on_row) {
+  Cursor at{.file = file};
+  FileScan out;
+  std::optional<HeaderInfo> header;
+  Line line;
+  while (!header && lines.next(line)) {
+    at.line = line.number;
+    if (line.text.empty()) {
+      continue;
+    }
+    if (line.text.front() == '#') {
+      handle_directive(trim(line.text.substr(1)), out.declared_nranks, at);
+      continue;
+    }
+    header = match_header(line.text);
+    if (!header) {
+      reject_header(line.text, at);
+    }
+    out.header = *header;
+    out.data_start = lines.position();
+    out.header_line = line.number;
+  }
+  if (!header) {
+    throw IngestError({.file = file, .line = 0, .field = {}, .reason = "no header line found"});
+  }
+  std::int32_t max_rank = -1;
+  while (lines.next(line)) {
+    if (line.text.empty() || line.text.front() == '#') {
+      continue;
+    }
+    at.line = line.number;
+    const Row row = parse_row(line.text, out.header, out.declared_nranks, at);
+    max_rank = std::max({max_rank, static_cast<std::int32_t>(row.rank), row.rec.sender});
+    on_row(row, line, out.header.dialect);
+  }
+  out.nranks = out.declared_nranks.value_or(std::max(max_rank + 1, 1));
+  return out;
 }
 
 }  // namespace mpipred::ingest::csv_line

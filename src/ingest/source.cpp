@@ -1,33 +1,46 @@
 #include "ingest/source.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <utility>
 
-#include "ingest/csv_source.hpp"
+#include "engine/engine.hpp"
+#include "ingest/csv_line.hpp"
 #include "ingest/streaming.hpp"
 #include "trace/merge.hpp"
 
 namespace mpipred::ingest {
 
+std::string_view TraceSource::format() const noexcept {
+  return dialect_ == csv_line::Dialect::Native ? "csv" : "csv-flat";
+}
+
+std::vector<trace::Level> TraceSource::levels() const {
+  if (dialect_ == csv_line::Dialect::Flat) {
+    return {trace::Level::Physical};
+  }
+  return {trace::Level::Logical, trace::Level::Physical};
+}
+
+std::vector<engine::Event> TraceSource::events(trace::Level level) const {
+  const auto available = levels();
+  if (std::find(available.begin(), available.end(), level) == available.end()) {
+    return {};
+  }
+  return engine::events_from_trace(store_, level);
+}
+
 std::unique_ptr<EventStream> TraceSource::stream_events(trace::Level level) const {
+  const auto merged = trace::merged_records(store_, level);
   std::vector<TimedEvent> timed;
-  if (const trace::TraceStore* records = store()) {
-    const auto merged = trace::merged_records(*records, level);
-    timed.reserve(merged.size());
-    for (const trace::MergedRecord& rec : merged) {
-      timed.push_back({.time = rec.time,
-                       .event = {.source = rec.sender,
-                                 .destination = rec.receiver,
-                                 .tag = static_cast<std::int32_t>(rec.kind),
-                                 .bytes = rec.bytes}});
-    }
-  } else {
-    // Event-only formats carry no timestamps; the transforms still compose
-    // (a time window over an all-zero clock keeps everything or nothing).
-    for (const engine::Event& event : events(level)) {
-      timed.push_back({.time = sim::SimTime{0}, .event = event});
-    }
+  timed.reserve(merged.size());
+  for (const trace::MergedRecord& rec : merged) {
+    timed.push_back({.time = rec.time,
+                     .event = {.source = rec.sender,
+                               .destination = rec.receiver,
+                               .tag = static_cast<std::int32_t>(rec.kind),
+                               .bytes = rec.bytes}});
   }
   return std::make_unique<VectorEventStream>(std::move(timed), /*time_ordered=*/true);
 }
@@ -48,114 +61,22 @@ std::string to_string(const Diagnostic& d) {
   return out;
 }
 
-TraceFormatRegistry& TraceFormatRegistry::instance() {
-  static TraceFormatRegistry registry = [] {
-    TraceFormatRegistry r;
-    register_csv_formats(r);
-    return r;
-  }();
-  return registry;
-}
-
-void TraceFormatRegistry::add(TraceFormat format) {
-  for (const TraceFormat& existing : formats_) {
-    if (existing.name == format.name) {
-      throw UsageError("trace format '" + format.name + "' registered twice");
-    }
+std::unique_ptr<TraceSource> open_trace_stream(std::istream& is, const std::string& label) {
+  // Every row is validated before the store is built, so the rank count
+  // can be inferred when the file does not declare it.
+  csv_line::BlockSource source(is);
+  csv_line::LineReader lines(source, CsvStreamReader::kBlockBytes);
+  std::vector<csv_line::Row> rows;
+  const csv_line::FileScan scan = csv_line::scan_file(
+      lines, label,
+      [&rows](const csv_line::Row& row, const csv_line::Line&, csv_line::Dialect) {
+        rows.push_back(row);
+      });
+  trace::TraceStore store(scan.nranks);
+  for (const csv_line::Row& row : rows) {
+    store.append(row.rank, row.level, row.rec);
   }
-  formats_.push_back(std::move(format));
-}
-
-std::vector<std::string> TraceFormatRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(formats_.size());
-  for (const TraceFormat& f : formats_) {
-    out.push_back(f.name);
-  }
-  return out;
-}
-
-namespace {
-
-/// First non-empty, non-comment line with any trailing '\r' removed — the
-/// probe every format's `matches` sees. Empty when the stream has none.
-std::string first_meaningful_line(std::istream& is) {
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (line.empty() || line.front() == '#') {
-      continue;
-    }
-    return line;
-  }
-  return {};
-}
-
-}  // namespace
-
-namespace {
-
-[[noreturn]] void throw_unknown_format(const std::vector<TraceFormat>& formats,
-                                       const std::string& probe, const std::string& file) {
-  std::string known;
-  for (const TraceFormat& f : formats) {
-    known += (known.empty() ? "" : ", ") + f.name;
-  }
-  throw IngestError({.file = file,
-                     .line = 0,
-                     .field = {},
-                     .reason = "no registered trace format matches header '" + probe +
-                               "' (known formats: " + known + ")"});
-}
-
-}  // namespace
-
-std::unique_ptr<TraceSource> TraceFormatRegistry::open(std::istream& is,
-                                                       const std::string& file) const {
-  const std::string probe = first_meaningful_line(is);
-  is.clear();
-  is.seekg(0);
-  if (!is) {
-    throw IngestError({.file = file,
-                       .line = 0,
-                       .field = {},
-                       .reason = "stream is not seekable (cannot rewind probe)"});
-  }
-  for (const TraceFormat& f : formats_) {
-    if (f.matches(probe)) {
-      return f.open(is, file);
-    }
-  }
-  throw_unknown_format(formats_, probe, file);
-}
-
-std::unique_ptr<EventStream> TraceFormatRegistry::open_stream(const std::string& path,
-                                                              trace::Level level) const {
-  std::ifstream is(path);
-  if (!is) {
-    throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
-  }
-  const std::string probe = first_meaningful_line(is);
-  for (const TraceFormat& f : formats_) {
-    if (!f.matches(probe)) {
-      continue;
-    }
-    if (f.open_stream) {
-      return f.open_stream(path, level);
-    }
-    is.clear();
-    is.seekg(0);
-    if (!is) {
-      throw IngestError({.file = path,
-                         .line = 0,
-                         .field = {},
-                         .reason = "stream is not seekable (cannot rewind probe)"});
-    }
-    return f.open(is, path)->stream_events(level);
-  }
-  throw_unknown_format(formats_, probe, path);
+  return std::make_unique<TraceSource>(scan.header.dialect, std::move(store));
 }
 
 std::unique_ptr<TraceSource> open_trace(const std::string& path) {
@@ -163,11 +84,7 @@ std::unique_ptr<TraceSource> open_trace(const std::string& path) {
   if (!is) {
     throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
   }
-  return TraceFormatRegistry::instance().open(is, path);
-}
-
-std::unique_ptr<TraceSource> open_trace_stream(std::istream& is, const std::string& label) {
-  return TraceFormatRegistry::instance().open(is, label);
+  return open_trace_stream(is, path);
 }
 
 }  // namespace mpipred::ingest

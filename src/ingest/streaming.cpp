@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "ingest/csv_line.hpp"
-#include "ingest/csv_source.hpp"
 #include "ingest/source.hpp"
 
 namespace mpipred::ingest {
@@ -235,22 +234,16 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
   auto im = std::make_unique<Impl>();
   im->path = path;
 
-  // Validation scan: every line is checked with the same grammar the
-  // materializing parser applies (one pass, nothing retained), sections
-  // are indexed, and the time layout is probed so the merge knows whether
-  // it can stream this file.
+  // Validation scan: every line is checked by the loop the materializing
+  // parser runs (one pass, nothing retained), sections are indexed, and
+  // the time layout is probed so the merge knows whether it can stream
+  // this file.
   std::ifstream scan(path, std::ios::binary);
   if (!scan) {
     throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
   }
   csv_line::BlockSource scan_source(scan);
   csv_line::LineReader lines(scan_source, kBlockBytes);
-  csv_line::Line line;
-  csv_line::Cursor at{.file = path};
-  std::optional<csv_line::HeaderInfo> header;
-  std::uint64_t data_start = 0;
-  std::size_t data_start_line = 0;
-  std::int32_t max_rank = -1;
   int run_rank = -1;
   int run_level = -1;
   std::int64_t run_last_time = 0;
@@ -259,55 +252,33 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
   std::int64_t flat_last_time = std::numeric_limits<std::int64_t>::min();
   std::vector<Impl::Section> all_sections;
   std::vector<int> section_levels;
-  while (lines.next(line)) {
-    at.line = line.number;
-    if (line.text.empty()) {
-      continue;
-    }
-    if (line.text.front() == '#') {
-      if (!header) {
-        csv_line::handle_directive(csv_line::trim(line.text.substr(1)), im->declared_nranks, at);
-      }
-      continue;
-    }
-    if (!header) {
-      header = csv_line::match_header(line.text);
-      if (!header) {
-        csv_line::reject_header(line.text, at);
-      }
-      data_start = lines.position();
-      data_start_line = line.number;
-      continue;
-    }
-    const csv_line::Row row = csv_line::parse_row(line.text, *header, im->declared_nranks, at);
-    max_rank = std::max({max_rank, static_cast<std::int32_t>(row.rank), row.rec.sender});
-    if (header->dialect == csv_line::Dialect::Native) {
-      const int row_level = static_cast<int>(row.level);
-      if (row.rank != run_rank || row_level != run_level) {
-        all_sections.push_back({.rank = row.rank,
-                                .start = line.offset,
-                                .end = 0,
-                                .lines_before = line.number - 1});
-        section_levels.push_back(row_level);
-        run_rank = row.rank;
-        run_level = row_level;
-      } else if (row.rec.time.count() < run_last_time) {
-        level_mono[row_level] = false;
-      }
-      run_last_time = row.rec.time.count();
-    } else {
-      if (row.rec.time.count() < flat_last_time) {
-        flat_sorted = false;
-      }
-      flat_last_time = row.rec.time.count();
-    }
-  }
-  if (!header) {
-    throw IngestError({.file = path, .line = 0, .field = {}, .reason = "no header line found"});
-  }
+  const csv_line::FileScan file = csv_line::scan_file(
+      lines, path,
+      [&](const csv_line::Row& row, const csv_line::Line& line, csv_line::Dialect dialect) {
+        const std::int64_t time = row.rec.time.count();
+        if (dialect == csv_line::Dialect::Flat) {
+          flat_sorted = flat_sorted && time >= flat_last_time;
+          flat_last_time = time;
+          return;
+        }
+        const int row_level = static_cast<int>(row.level);
+        if (row.rank != run_rank || row_level != run_level) {
+          all_sections.push_back({.rank = row.rank,
+                                  .start = line.offset,
+                                  .end = 0,
+                                  .lines_before = line.number - 1});
+          section_levels.push_back(row_level);
+          run_rank = row.rank;
+          run_level = row_level;
+        } else if (time < run_last_time) {
+          level_mono[row_level] = false;
+        }
+        run_last_time = time;
+      });
   im->buffer_bytes_peak = lines.buffer_bytes();  // the scan's block, freed on return
-  im->header = *header;
-  im->nranks = im->declared_nranks.value_or(std::max(max_rank + 1, 1));
+  im->header = file.header;
+  im->declared_nranks = file.declared_nranks;
+  im->nranks = file.nranks;
   for (std::size_t i = 0; i < all_sections.size(); ++i) {
     all_sections[i].end =
         i + 1 < all_sections.size() ? all_sections[i + 1].start : lines.position();
@@ -315,7 +286,7 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
 
   const int level_int = static_cast<int>(level);
   std::vector<Impl::Section> mine;
-  if (header->dialect == csv_line::Dialect::Flat) {
+  if (file.header.dialect == csv_line::Dialect::Flat) {
     if (level != trace::Level::Physical) {
       im->mode = Impl::Mode::Empty;
     } else if (flat_sorted) {
@@ -357,7 +328,7 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
     }
     case Impl::Mode::FlatSequential: {
       im->open_shared_handle();
-      im->flat_lines.emplace(im->source, kBlockBytes, data_start, data_start_line);
+      im->flat_lines.emplace(im->source, kBlockBytes, file.data_start, file.header_line);
       break;
     }
     case Impl::Mode::Materialized: {
@@ -365,14 +336,7 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
       // times, or a section blow-up) cannot be merged incrementally; fall
       // back to the materializing parser's own stream adapter so the
       // emitted order is the non-streamed path's by construction.
-      std::ifstream reparse(path, std::ios::binary);
-      if (!reparse) {
-        throw IngestError({.file = path,
-                           .line = 0,
-                           .field = {},
-                           .reason = "cannot open for reading"});
-      }
-      im->materialized = drain(*CsvTraceSource::parse(reparse, path)->stream_events(level));
+      im->materialized = drain(*open_trace(path)->stream_events(level));
       im->note_buffered(im->materialized.size());
       break;
     }
@@ -409,7 +373,7 @@ std::size_t CsvStreamReader::peak_buffered_bytes() const noexcept {
 int CsvStreamReader::nranks() const noexcept { return impl_->nranks; }
 
 std::unique_ptr<EventStream> open_event_stream(const std::string& path, trace::Level level) {
-  return TraceFormatRegistry::instance().open_stream(path, level);
+  return CsvStreamReader::open(path, level);
 }
 
 // ---------------------------------------------------------------------------

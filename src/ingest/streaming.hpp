@@ -57,8 +57,8 @@ class EventStream {
 };
 
 /// In-memory adapter: serves a materialized vector through the batch
-/// contract (the default TraceSource::stream_events implementation, and
-/// the base of the materialized reference side of every gate).
+/// contract (TraceSource::stream_events, the materialized reference side
+/// of every gate).
 class VectorEventStream final : public EventStream {
  public:
   explicit VectorEventStream(std::vector<TimedEvent> events, bool time_ordered = false)
@@ -102,9 +102,9 @@ class VectorEventStream final : public EventStream {
 /// decrease, a native section with non-monotone times, or more sections
 /// than kMaxStreamSections — fall back to materializing (still correct,
 /// reported by streaming() == false). open() fully validates every line
-/// (one block-buffered scan, same grammar as CsvTraceSource::parse)
-/// without retaining events, so a malformed file is rejected up front
-/// with the usual file:line diagnostic.
+/// (csv_line::scan_file, the loop open_trace runs) without retaining
+/// events, so a malformed file is rejected up front with the same
+/// file:line diagnostic open_trace gives.
 class CsvStreamReader final : public EventStream {
  public:
   /// Section-count ceiling for the native K-way merge (each section costs
@@ -156,11 +156,9 @@ class CsvStreamReader final : public EventStream {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Opens `path` through the format registry as an incremental stream of
-/// one level's events: formats registering an `open_stream` hook (the CSV
-/// dialects do) parse on demand; others are materialized and adapted.
-/// Throws IngestError on an unreadable file, unknown format, or malformed
-/// content.
+/// Opens `path` as an incremental stream of one level's events
+/// (CsvStreamReader::open). Throws IngestError on an unreadable file,
+/// unknown header, or malformed content.
 [[nodiscard]] std::unique_ptr<EventStream> open_event_stream(const std::string& path,
                                                              trace::Level level);
 

@@ -146,39 +146,18 @@ void Endpoint::dispatch(ProgressTask& task) {
   }
 }
 
-void Endpoint::submit_delivery(ProgressTask task) {
-  // FeedPath::Inline charges the prediction feed on the receive path: the
-  // packet waits behind the feed work, exactly what the pre-refactor
-  // inline architecture would cost. FeedPath::Progress leaves delivery
-  // timing untouched (the cost is tracked in note_adaptive_arrival's
-  // busy-until bookkeeping instead) — that difference is the quantity
-  // bench_async_overlap measures.
-  const auto& adaptive = world_->config().adaptive;
-  const std::int64_t cost_ns =
-      (world_->adaptive_policy() != nullptr && adaptive.feed_path == adaptive::FeedPath::Inline)
-          ? adaptive.predict_cost_ns
-          : 0;
-  if (cost_ns <= 0) {
-    progress_.submit(std::move(task));
-    return;
-  }
-  world_->engine().schedule_after(sim::from_ns(cost_ns), [this, task = std::move(task)]() mutable {
-    progress_.submit(std::move(task));
-  });
-}
-
 void Endpoint::deliver_eager(Arrival arrival) {
   ProgressTask task;
   task.kind = ProgressTask::Kind::EagerArrival;
   task.arrival = std::move(arrival);
-  submit_delivery(std::move(task));
+  progress_.submit(std::move(task));
 }
 
 void Endpoint::deliver_rts(Arrival arrival) {
   ProgressTask task;
   task.kind = ProgressTask::Kind::RtsArrival;
   task.arrival = std::move(arrival);
-  submit_delivery(std::move(task));
+  progress_.submit(std::move(task));
 }
 
 void Endpoint::deliver_data(std::shared_ptr<SendState> send, std::shared_ptr<RecvState> recv) {
@@ -186,7 +165,7 @@ void Endpoint::deliver_data(std::shared_ptr<SendState> send, std::shared_ptr<Rec
   task.kind = ProgressTask::Kind::RendezvousData;
   task.send = std::move(send);
   task.recv = std::move(recv);
-  submit_delivery(std::move(task));
+  progress_.submit(std::move(task));
 }
 
 void Endpoint::credit_returned(int peer, std::int64_t bytes) {
@@ -288,9 +267,8 @@ bool Endpoint::note_adaptive_arrival(int sender, std::int64_t bytes, trace::OpKi
   }
   // Charge the feed's simulated cost. Decisions above are unaffected — the
   // cost models the latency of the predict → pre-post → reconcile step,
-  // not its outcome. Under FeedPath::Progress this is pure bookkeeping
-  // (work overlapped with whatever the rank does next); under Inline the
-  // same cost was already paid as a delivery delay in submit_delivery.
+  // not its outcome, and it never delays delivery: this is pure
+  // bookkeeping (work overlapped with whatever the rank does next).
   const std::int64_t cost_ns = world_->config().adaptive.predict_cost_ns;
   if (cost_ns > 0) {
     const sim::SimTime now = world_->engine().now();

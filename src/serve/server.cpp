@@ -167,8 +167,7 @@ Session::Session(std::shared_ptr<ServerCore> core, std::uint64_t id)
       horizon_(core_->horizon),
       shard_count_(core_->shards),
       shards_(core_->shards, *core_->prototype, core_->horizon, core_->cfg.engine.key,
-              {.feed = core_->cfg.engine.feed,
-               .min_parallel_batch = core_->cfg.engine.min_parallel_batch,
+              {.min_parallel_batch = core_->cfg.engine.min_parallel_batch,
                .pool = &core_->pool,
                .clock = &core_->clock,
                .metrics = core_->metrics,

@@ -31,8 +31,8 @@
 namespace mpipred::serve {
 
 struct ServeConfig {
-  /// Predictor family, options, key policy, shard count, and feed mode
-  /// every session of this server runs with.
+  /// Predictor family, options, key policy, shard count, and dispatch
+  /// threshold every session of this server runs with.
   engine::EngineConfig engine{};
   /// Global cap on resident predictor state across all sessions, in
   /// bytes; 0 = unlimited. When a feed pushes the total over the cap, the

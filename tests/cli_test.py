@@ -9,6 +9,10 @@ status fails the check. Tools run in a scratch working directory, so a
 tool that writes files cannot litter the build tree. Bad input must be
 rejected before any simulation starts, so every case is fast.
 
+The `--trace` tools also get malformed trace files written into that
+directory; their stderr must start with the ingest diagnostic's
+`<file>:<line>:` location, the same for every tool and every fault.
+
 Usage:
     cli_test.py --bin-dir BUILD_DIR [--with-bench]
 """
@@ -57,6 +61,15 @@ BAD_ARGS: dict[str, list[list[str]]] = {
     "bench_rendezvous": [["extra"]],
     "bench_set_prediction": [["--predictor", "nope"]],
     "bench_table1": [["extra"]],
+}
+
+# Tools taking `--trace <file>`, and malformed trace files each must reject:
+# file name -> (content, line the diagnostic names).
+TRACE_TOOLS = {"predict_nas", "replay_trace", "bench_adaptive"}
+BAD_TRACES: dict[str, tuple[str, int]] = {
+    "unknown_header.csv": ("# a preamble comment\nwho,knows,what\n1,2,3\n", 2),
+    "bad_row.csv": ("rank,level,time_ns,sender,bytes,kind,op\n0,0,1,1,64,0,0\n"
+                    "0,0,2,1,64,0,99\n", 3),
 }
 
 # Built only where Google Benchmark is installed.
@@ -115,7 +128,15 @@ def main() -> int:
                 if proc.returncode != 1 or not proc.stderr.strip():
                     failures.append("bad input must exit 1 with a diagnostic: " +
                                     describe(tool, args, proc))
-        print(f"{tool}: checked {2 + len(BAD_ARGS[tool])} invocations")
+            traces = BAD_TRACES if tool in TRACE_TOOLS else {}
+            for name, (content, line) in traces.items():
+                (Path(cwd) / name).write_text(content)
+                args = ["--trace", name]
+                proc = run(binary, args, cwd)
+                if proc.returncode != 1 or not proc.stderr.startswith(f"{name}:{line}:"):
+                    failures.append(f"a malformed trace must exit 1 with '{name}:{line}:' "
+                                    "first on stderr: " + describe(tool, args, proc))
+        print(f"{tool}: checked {2 + len(BAD_ARGS[tool]) + len(traces)} invocations")
 
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)

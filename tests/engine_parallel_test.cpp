@@ -138,28 +138,24 @@ TEST(EngineParallel, QueriesAgreeAcrossShardCounts) {
   }
 }
 
-TEST(EngineParallel, FeedModeAndDispatchThresholdNeverChangeTheReport) {
-  // The resident-pool and spawn-per-feed paths, at any inline threshold
-  // (1 = dispatch even single-event feeds, huge = always inline), must be
-  // indistinguishable in every report — dispatch is a cost knob only.
+TEST(EngineParallel, DispatchThresholdNeverChangesTheReport) {
+  // At any inline threshold (1 = dispatch even single-event feeds, huge =
+  // always inline) the resident-pool path must be indistinguishable in
+  // every report — dispatch is a cost knob only.
   const auto events = random_trace(41, 6000, 12, 32, 3);
   const auto baseline = run(events, "dpd", KeyPolicy::per_receiver(), 1);
-  for (const FeedMode mode : {FeedMode::persistent, FeedMode::spawn}) {
-    for (const std::size_t min_batch : {std::size_t{1}, std::size_t{100}, std::size_t{1u << 20}}) {
-      for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-        SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
-                     " min_batch=" + std::to_string(min_batch) +
-                     " shards=" + std::to_string(shards));
-        PredictionEngine engine(EngineConfig{
-            .shards = shards, .feed = mode, .min_parallel_batch = min_batch});
-        // Feed in slices so small batches really hit the dispatch path
-        // when the threshold allows them to.
-        const std::span<const Event> all(events);
-        for (std::size_t off = 0; off < all.size(); off += 512) {
-          engine.observe_all(all.subspan(off, std::min<std::size_t>(512, all.size() - off)));
-        }
-        EXPECT_EQ(engine.report(), baseline);
+  for (const std::size_t min_batch : {std::size_t{1}, std::size_t{100}, std::size_t{1u << 20}}) {
+    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE("min_batch=" + std::to_string(min_batch) +
+                   " shards=" + std::to_string(shards));
+      PredictionEngine engine(EngineConfig{.shards = shards, .min_parallel_batch = min_batch});
+      // Feed in slices so small batches really hit the dispatch path
+      // when the threshold allows them to.
+      const std::span<const Event> all(events);
+      for (std::size_t off = 0; off < all.size(); off += 512) {
+        engine.observe_all(all.subspan(off, std::min<std::size_t>(512, all.size() - off)));
       }
+      EXPECT_EQ(engine.report(), baseline);
     }
   }
 }

@@ -1,5 +1,5 @@
-// The trace-ingestion boundary: dialect parsing, per-line diagnostics,
-// the format registry, and the round-trip determinism gate — a simulator
+// The trace-ingestion boundary: dialect parsing, per-line diagnostics
+// (the same from every entry point), and the round-trip determinism gate — a simulator
 // trace exported via write_csv and re-ingested must drive the engine to a
 // byte-identical report for every registry predictor and shard count.
 
@@ -19,7 +19,6 @@
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
 #include "ingest/csv_line.hpp"
-#include "ingest/csv_source.hpp"
 #include "ingest/replay.hpp"
 #include "ingest/source.hpp"
 #include "ingest/streaming.hpp"
@@ -68,11 +67,10 @@ TEST(CsvSource, NativeDialectMatchesStoreAndEngineEvents) {
   const auto source = open_trace_stream(csv, "<test>");
   EXPECT_EQ(source->format(), "csv");
   EXPECT_EQ(source->nranks(), 3);  // declared by write_csv's preamble
-  ASSERT_NE(source->store(), nullptr);
   for (int r = 0; r < 3; ++r) {
     for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
       const auto a = store.records(r, level);
-      const auto b = source->store()->records(r, level);
+      const auto b = source->store().records(r, level);
       ASSERT_EQ(a.size(), b.size());
       for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i], b[i]);
@@ -121,10 +119,9 @@ TEST(CsvSource, CrlfAndCommentsAccepted) {
                             "0,0,1,1,64,0,0\r\n"
                             "# a comment between data lines\r\n"
                             "1,1,2,0,128,1,4\r\n");
-  ASSERT_NE(source->store(), nullptr);
-  EXPECT_EQ(source->store()->total_records(trace::Level::Logical), 1u);
-  EXPECT_EQ(source->store()->total_records(trace::Level::Physical), 1u);
-  EXPECT_EQ(source->store()->records(1, trace::Level::Physical)[0].op, trace::Op::Allreduce);
+  EXPECT_EQ(source->store().total_records(trace::Level::Logical), 1u);
+  EXPECT_EQ(source->store().total_records(trace::Level::Physical), 1u);
+  EXPECT_EQ(source->store().records(1, trace::Level::Physical)[0].op, trace::Op::Allreduce);
 }
 
 TEST(CsvSource, VersionDirectiveGatesUnsupportedSchemas) {
@@ -198,9 +195,12 @@ TEST(CsvSource, FlatDialectKindColumnAndValidation) {
 }
 
 TEST(CsvSource, UnknownHeaderListsKnownFormats) {
-  const Diagnostic d = reject("who,knows,what\n1,2,3\n");
-  EXPECT_NE(d.reason.find("csv"), std::string::npos);
-  EXPECT_NE(d.reason.find("csv-flat"), std::string::npos);
+  const Diagnostic d = reject("# a preamble comment\nwho,knows,what\n1,2,3\n");
+  EXPECT_EQ(d.line, 2u);
+  EXPECT_EQ(d.field, "");
+  EXPECT_NE(d.reason.find("'who,knows,what'"), std::string::npos) << d.reason;
+  EXPECT_NE(d.reason.find(csv_line::kNativeHeader), std::string::npos) << d.reason;
+  EXPECT_NE(d.reason.find(csv_line::kFlatHeader), std::string::npos) << d.reason;
 }
 
 TEST(CsvSource, EmptyFileNeedsHeader) {
@@ -558,30 +558,6 @@ TEST(CsvGrammar, NranksDirectiveMatchesReference) {
   }
 }
 
-TEST(FormatRegistry, PluggableFormatsDispatchByProbe) {
-  struct NullSource final : TraceSource {
-    [[nodiscard]] std::string_view format() const noexcept override { return "null"; }
-    [[nodiscard]] int nranks() const noexcept override { return 1; }
-    [[nodiscard]] std::vector<trace::Level> levels() const override { return {}; }
-    [[nodiscard]] std::vector<engine::Event> events(trace::Level) const override { return {}; }
-  };
-  auto& registry = TraceFormatRegistry::instance();
-  const auto names = registry.names();
-  if (std::find(names.begin(), names.end(), "null") == names.end()) {
-    registry.add({.name = "null",
-                  .matches = [](std::string_view header) { return header == "nullfmt"; },
-                  .open = [](std::istream&, const std::string&) -> std::unique_ptr<TraceSource> {
-                    return std::make_unique<NullSource>();
-                  },
-                  .open_stream = {}});
-  }
-  EXPECT_THROW(registry.add({.name = "null", .matches = {}, .open = {}, .open_stream = {}}),
-               UsageError);
-  const auto source = parse("nullfmt\n");
-  EXPECT_EQ(source->format(), "null");
-  EXPECT_EQ(source->store(), nullptr);
-}
-
 // The full shard × batch product grid, run here on small captures (the
 // tools' runtime gates check one axis at a time): a StreamingReplay over
 // make_stream() at every shard count {1,2,4} × gate batch size must report
@@ -837,8 +813,8 @@ TEST(Streaming, BoundedBufferingIndependentOfTraceLength) {
 // at a time, so the corpus below has sections several blocks long, lines
 // straddling block edges, single lines longer than a block, CRLF endings,
 // comments and blank lines inside sections, and files without a final
-// newline. The streamed, materialized and CsvTraceSource paths must agree
-// on every variant at every batch size.
+// newline. The streamed and materialized paths must agree on every
+// variant at every batch size.
 
 constexpr std::size_t kBlock = CsvStreamReader::kBlockBytes;
 
@@ -912,7 +888,7 @@ std::vector<std::pair<std::string, std::string>> boundary_variants(const std::st
 void expect_paths_agree(const std::string& name, const std::string& text,
                         trace::Level level, const std::vector<engine::Event>& expect) {
   const std::string path = write_temp_file("boundary_" + name + ".csv", text);
-  const auto source = open_trace(path);  // CsvTraceSource::parse
+  const auto source = open_trace(path);
   ASSERT_EQ(source->events(level), expect) << name;
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{8192},
                                   std::size_t{0}}) {
@@ -954,26 +930,38 @@ TEST(BlockBoundaries, FlatVariantsAgreeOnEveryPath) {
   }
 }
 
-/// The diagnostic both readers give for `path`; fails the test when the
-/// file is accepted or the two disagree.
+/// The diagnostic every entry point gives for `path`; fails the test when
+/// one of them accepts the file or two of them disagree.
 Diagnostic diagnostic_of(const std::string& path) {
-  Diagnostic streamed;
-  Diagnostic parsed;
-  try {
-    (void)CsvStreamReader::open(path, trace::Level::Physical);
-    ADD_FAILURE() << "CsvStreamReader accepted " << path;
-  } catch (const IngestError& e) {
-    streamed = e.where();
-  }
-  std::ifstream is(path);
-  try {
-    (void)CsvTraceSource::parse(is, path);
-    ADD_FAILURE() << "CsvTraceSource accepted " << path;
-  } catch (const IngestError& e) {
-    parsed = e.where();
-  }
+  const auto rejection = [&path](const char* entry, const auto& open) {
+    try {
+      (void)open();
+      ADD_FAILURE() << entry << " accepted " << path;
+    } catch (const IngestError& e) {
+      return e.where();
+    }
+    return Diagnostic{};
+  };
+  const Diagnostic streamed = rejection(
+      "CsvStreamReader::open", [&] { return CsvStreamReader::open(path, trace::Level::Physical); });
+  const Diagnostic event_stream = rejection(
+      "open_event_stream", [&] { return open_event_stream(path, trace::Level::Logical); });
+  const Diagnostic parsed = rejection("open_trace", [&] { return open_trace(path); });
   EXPECT_EQ(to_string(streamed), to_string(parsed));
-  return streamed;
+  EXPECT_EQ(to_string(event_stream), to_string(parsed));
+  return parsed;
+}
+
+// An unknown header is an ordinary line diagnostic, the same from every
+// entry point: its line, the header text, and the accepted headers.
+TEST(Diagnostics, UnknownHeaderIsTheSameFromEveryEntryPoint) {
+  const Diagnostic d = diagnostic_of(write_temp_file(
+      "unknown_header.csv", "# nranks: 4\n\ntime,from,to\n1,0,1\n"));
+  EXPECT_EQ(d.line, 3u);
+  EXPECT_EQ(d.field, "");
+  EXPECT_EQ(d.reason, "unrecognized header 'time,from,to' (expected '" +
+                          std::string(csv_line::kNativeHeader) + "' or '" +
+                          std::string(csv_line::kFlatHeader) + "[,kind]')");
 }
 
 // A malformed row deep in a multi-block file, placed across a block edge:

@@ -23,7 +23,7 @@ Record make(std::int32_t sender, std::int64_t bytes, OpKind kind = OpKind::Point
 
 /// Reads a CSV back through the ingest boundary, the repository's one CSV
 /// reader.
-TraceStore read_back(std::istream& is) { return *ingest::open_trace_stream(is)->store(); }
+TraceStore read_back(std::istream& is) { return ingest::open_trace_stream(is)->store(); }
 
 TEST(Store, AppendAndRead) {
   TraceStore store(2);
@@ -283,7 +283,7 @@ TEST(Csv, FileRoundTrip) {
   store.append(0, Level::Logical, make(0, 64));
   const std::string path = ::testing::TempDir() + "/mpipred_trace_test.csv";
   write_csv_file(path, store);
-  const TraceStore back = *ingest::open_trace(path)->store();
+  const TraceStore back = ingest::open_trace(path)->store();
   EXPECT_EQ(back.records(0, Level::Logical).size(), 1u);
   EXPECT_THROW((void)ingest::open_trace("/nonexistent/dir/x.csv"), Error);
 }
